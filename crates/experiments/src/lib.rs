@@ -29,9 +29,8 @@
 //!   cell/stage above runs on a work-stealing thread pool with
 //!   deterministic (serial-equivalent) output ordering, feeding the
 //!   `--report` run telemetry.
-//! * [`simbench`] — the recorded simulator performance baseline
-//!   (`BENCH_sim.json`) and the regression gate the CI `sim-perf` job
-//!   enforces against it.
+//! * [`simbench`] — the sim-heavy stage set whose walls
+//!   `memsense-bench sim-baseline` records in `BENCH_sim.json`.
 //!
 //! Each experiment returns a [`render::Table`] (ASCII + CSV) so results are
 //! regenerable; the `repro` binary drives them from the command line.

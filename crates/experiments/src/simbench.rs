@@ -1,44 +1,17 @@
-//! Simulator performance baseline: record, persist, and regression-check.
+//! The simulator perf-baseline stage set.
 //!
 //! Sweep cells, calibrations, characterization series, and I/O-pressure
 //! tables all re-execute the `crates/sim` engine, so simulator throughput
-//! bounds how many design points a repro run can explore. This module pins
-//! that throughput down: [`measure`] times a fixed set of sim-heavy repro
-//! stages (reduced budgets, one stage at a time — the worker pool serves
-//! each stage's inner jobs) through the executor's job telemetry,
-//! [`to_json`]/[`from_json`] persist the result as the canonical
-//! `BENCH_sim.json`, and [`compare`] gates a fresh measurement against the
-//! recorded baseline with a wall-clock tolerance — the CI `sim-perf` job
-//! fails when any stage (or the total) regresses beyond it, when the
-//! recorded stage set has diverged from [`STAGES`], or when the thread
-//! counts differ. [`measure_profiled`] additionally attributes simulator
-//! work counters (ops, cache/TLB lookups, prefetch fills) to each stage.
-
-use std::collections::BTreeMap;
+//! bounds how many design points a repro run can explore. [`STAGES`] names
+//! the sim-heavy repro stages (reduced budgets) whose walls
+//! `memsense-bench sim-baseline` records in `BENCH_sim.json` and gates in
+//! CI; [`run_stage`] runs one of them.
 
 use memsense_workloads::{Class, Workload};
 
 use crate::calibrate::{calibrate, CalibrationBudget};
-use crate::executor::{drain_job_log, par_map_full, thread_count};
 use crate::io_pressure::io_pressure_table;
-use crate::json::Json;
-use crate::render::{f, Table};
 use crate::timeseries::{class_series, SeriesBudget};
-
-/// Schema tag written into `BENCH_sim.json`.
-pub const SCHEMA: &str = "memsense-sim-baseline/v1";
-
-/// Executor label prefix for baseline stage jobs.
-pub const LABEL_PREFIX: &str = "simbench/";
-
-/// Default regression tolerance: a stage may take up to
-/// `baseline × (1 + tolerance)` before the check fails. 0.5 absorbs CI
-/// machine variance while still rejecting a pre-overhaul-sized slowdown.
-pub const DEFAULT_TOLERANCE: f64 = 0.5;
-
-/// Default repeat count; each stage's recorded wall is the minimum across
-/// repeats (best-of-N rejects scheduler noise).
-pub const DEFAULT_REPEATS: usize = 3;
 
 /// The measured stage set: the sim-heavy repro stages on reduced budgets.
 /// Order is the report order.
@@ -52,700 +25,37 @@ pub const STAGES: [&str; 7] = [
     "io_pressure",
 ];
 
-/// Errors from measuring, parsing, or checking a baseline.
-#[derive(Debug)]
-pub enum SimBenchError {
-    /// A benchmark stage failed to run.
-    Stage(String),
-    /// `BENCH_sim.json` could not be parsed against the schema.
-    Parse(String),
-}
-
-impl core::fmt::Display for SimBenchError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            SimBenchError::Stage(m) => write!(f, "benchmark stage failed: {m}"),
-            SimBenchError::Parse(m) => write!(f, "invalid baseline file: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for SimBenchError {}
-
-/// One timed stage.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StageTime {
-    /// Stage name (one of [`STAGES`]).
-    pub name: String,
-    /// Best-of-repeats wall clock, milliseconds.
-    pub wall_ms: f64,
-}
-
-/// A recorded simulator performance baseline.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Baseline {
-    /// Executor worker threads during measurement (1 = serial, the
-    /// recommended recording mode).
-    pub threads: usize,
-    /// Repeats each stage ran; walls are minima across them.
-    pub repeats: usize,
-    /// Per-stage timings in [`STAGES`] order.
-    pub stages: Vec<StageTime>,
-}
-
-impl Baseline {
-    /// Sum of per-stage walls, milliseconds.
-    pub fn total_ms(&self) -> f64 {
-        self.stages.iter().map(|s| s.wall_ms).sum()
-    }
-
-    /// Looks up a stage's wall by name.
-    pub fn stage_ms(&self, name: &str) -> Option<f64> {
-        self.stages
-            .iter()
-            .find(|s| s.name == name)
-            .map(|s| s.wall_ms)
-    }
-}
-
-fn run_stage(name: &str) -> Result<(), SimBenchError> {
-    let stage = |r: Result<(), crate::ExperimentError>| {
-        r.map_err(|e| SimBenchError::Stage(format!("{name}: {e}")))
-    };
-    match name {
-        "timeseries/bigdata" => {
-            stage(class_series(Class::BigData, &SeriesBudget::quick()).map(drop))
-        }
+/// Runs one stage of [`STAGES`], discarding its output. Each stage fans its
+/// inner jobs (sweep points, series workloads, pressure cells) out through
+/// the executor, so the simulated numbers are byte-identical at any
+/// `MEMSENSE_THREADS`.
+///
+/// # Errors
+///
+/// Returns a message naming the stage when it is unknown or fails.
+pub fn run_stage(name: &str) -> Result<(), String> {
+    let result = match name {
+        "timeseries/bigdata" => class_series(Class::BigData, &SeriesBudget::quick()).map(drop),
         "timeseries/enterprise" => {
-            stage(class_series(Class::Enterprise, &SeriesBudget::quick()).map(drop))
+            class_series(Class::Enterprise, &SeriesBudget::quick()).map(drop)
         }
-        "timeseries/hpc" => stage(class_series(Class::Hpc, &SeriesBudget::quick()).map(drop)),
-        "calibrate/oltp" => stage(calibrate(Workload::Oltp, &CalibrationBudget::quick()).map(drop)),
-        "calibrate/spark" => {
-            stage(calibrate(Workload::Spark, &CalibrationBudget::quick()).map(drop))
-        }
-        "calibrate/bwaves" => {
-            stage(calibrate(Workload::Bwaves, &CalibrationBudget::quick()).map(drop))
-        }
-        "io_pressure" => stage(io_pressure_table(4, 40_000, 60_000.0).map(drop)),
-        other => Err(SimBenchError::Stage(format!("unknown stage {other:?}"))),
-    }
-}
-
-/// Per-stage simulator work counters (ops retired, cache and TLB lookups,
-/// prefetch fills) captured from [`memsense_sim::telemetry`] around the
-/// stage's first repeat. These are deterministic properties of the stage —
-/// unlike walls they do not vary run to run — so one repeat suffices.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StageProfile {
-    /// Stage name (one of [`STAGES`]).
-    pub name: String,
-    /// Instructions retired across every machine the stage built.
-    pub ops: u64,
-    /// Cache lookups (hits + misses, all levels).
-    pub cache_accesses: u64,
-    /// TLB translations (0 when the TLB model is disabled).
-    pub tlb_accesses: u64,
-    /// Prefetch fills brought into the LLC.
-    pub prefetch_fills: u64,
-}
-
-/// Times every stage in [`STAGES`] `repeats` times through the executor
-/// (labels `simbench/<stage>`), recording each stage's minimum wall clock.
-///
-/// Stages run **one at a time** regardless of thread count, so each wall is
-/// undiluted by co-running stages; the worker pool instead serves the
-/// stage's *inner* jobs (calibration sweep points, series workloads,
-/// I/O-pressure cells). At `MEMSENSE_THREADS > 1` a stage's wall therefore
-/// reflects intra-stage instance parallelism — and because every inner job
-/// is an independent machine merged in submission order, the simulated
-/// numbers stay byte-identical at any thread count.
-///
-/// # Errors
-///
-/// Returns the first failing stage's error.
-///
-/// # Panics
-///
-/// Panics if `repeats` is zero.
-pub fn measure(repeats: usize) -> Result<Baseline, SimBenchError> {
-    measure_profiled(repeats).map(|(baseline, _)| baseline)
-}
-
-/// [`measure`], also returning per-stage simulator work counters (the
-/// `--profile` data) in [`STAGES`] order.
-///
-/// # Errors
-///
-/// Returns the first failing stage's error.
-///
-/// # Panics
-///
-/// Panics if `repeats` is zero.
-pub fn measure_profiled(repeats: usize) -> Result<(Baseline, Vec<StageProfile>), SimBenchError> {
-    assert!(repeats > 0, "at least one repeat");
-    // Unrelated records from earlier work in this process would otherwise
-    // be misattributed; start from an empty log.
-    drain_job_log();
-    let mut best: BTreeMap<&str, f64> = BTreeMap::new();
-    let mut profiles: BTreeMap<&str, StageProfile> = BTreeMap::new();
-    for rep in 0..repeats {
-        for &name in STAGES.iter() {
-            let before = memsense_sim::telemetry::snapshot();
-            let outcomes = par_map_full(vec![name], |_, s| format!("{LABEL_PREFIX}{s}"), run_stage);
-            let after = memsense_sim::telemetry::snapshot();
-            let log = drain_job_log();
-            outcomes.into_iter().collect::<Result<Vec<()>, _>>()?;
-            for rec in log {
-                let Some(stage) = rec.label.strip_prefix(LABEL_PREFIX) else {
-                    continue; // inner jobs dispatched by the stage
-                };
-                if stage == name {
-                    let ms = rec.wall.as_secs_f64() * 1e3;
-                    best.entry(name)
-                        .and_modify(|b| *b = b.min(ms))
-                        .or_insert(ms);
-                }
-            }
-            if rep == 0 {
-                // Machines built by the stage are dropped inside it and
-                // stages never co-run, so the registry delta is exactly
-                // this stage's work at any thread count.
-                let d = after.delta_since(&before);
-                profiles.insert(
-                    name,
-                    StageProfile {
-                        name: name.to_string(),
-                        ops: d.ops,
-                        cache_accesses: d.cache_accesses,
-                        tlb_accesses: d.tlb_accesses,
-                        prefetch_fills: d.prefetch_fills,
-                    },
-                );
-            }
-        }
-    }
-    let baseline = Baseline {
-        threads: thread_count(),
-        repeats,
-        stages: STAGES
-            .iter()
-            .map(|&name| StageTime {
-                name: name.to_string(),
-                wall_ms: best.get(name).copied().unwrap_or(0.0),
-            })
-            .collect(),
+        "timeseries/hpc" => class_series(Class::Hpc, &SeriesBudget::quick()).map(drop),
+        "calibrate/oltp" => calibrate(Workload::Oltp, &CalibrationBudget::quick()).map(drop),
+        "calibrate/spark" => calibrate(Workload::Spark, &CalibrationBudget::quick()).map(drop),
+        "calibrate/bwaves" => calibrate(Workload::Bwaves, &CalibrationBudget::quick()).map(drop),
+        "io_pressure" => io_pressure_table(4, 40_000, 60_000.0).map(drop),
+        other => return Err(format!("unknown stage {other:?}")),
     };
-    let profiles = STAGES
-        .iter()
-        .map(|&name| {
-            profiles.remove(name).unwrap_or(StageProfile {
-                name: name.to_string(),
-                ops: 0,
-                cache_accesses: 0,
-                tlb_accesses: 0,
-                prefetch_fills: 0,
-            })
-        })
-        .collect();
-    Ok((baseline, profiles))
-}
-
-/// Renders the `--profile` table: each stage's wall alongside its simulator
-/// work counters (columns documented in EXPERIMENTS.md).
-pub fn profile_table(baseline: &Baseline, profiles: &[StageProfile]) -> Table {
-    let mut t = Table::new(
-        "Sim stage profile: wall clock and simulator work per stage",
-        &[
-            "stage",
-            "wall_ms",
-            "ops",
-            "cache_accesses",
-            "tlb_accesses",
-            "prefetch_fills",
-        ],
-    );
-    for p in profiles {
-        t.row(vec![
-            p.name.clone(),
-            f(baseline.stage_ms(&p.name).unwrap_or(0.0), 1),
-            p.ops.to_string(),
-            p.cache_accesses.to_string(),
-            p.tlb_accesses.to_string(),
-            p.prefetch_fills.to_string(),
-        ]);
-    }
-    t
-}
-
-/// Serializes a baseline to the canonical `BENCH_sim.json` form.
-pub fn to_json(baseline: &Baseline) -> String {
-    Json::obj(vec![
-        ("schema", Json::str(SCHEMA)),
-        ("threads", Json::num(baseline.threads as f64)),
-        ("repeats", Json::num(baseline.repeats as f64)),
-        (
-            "total_ms",
-            Json::num((baseline.total_ms() * 1e3).round() / 1e3),
-        ),
-        (
-            "stages",
-            Json::Arr(
-                baseline
-                    .stages
-                    .iter()
-                    .map(|s| {
-                        Json::obj(vec![
-                            ("name", Json::str(s.name.clone())),
-                            ("wall_ms", Json::num((s.wall_ms * 1e3).round() / 1e3)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-    .to_string_pretty()
-}
-
-/// Parses a baseline from [`to_json`] output.
-///
-/// # Errors
-///
-/// Returns [`SimBenchError::Parse`] on malformed JSON, a wrong schema tag,
-/// or missing fields.
-pub fn from_json(text: &str) -> Result<Baseline, SimBenchError> {
-    let parse = |m: &str| SimBenchError::Parse(m.to_string());
-    let root = Json::parse(text).map_err(|e| SimBenchError::Parse(e.to_string()))?;
-    let schema = root
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or_else(|| parse("missing schema tag"))?;
-    if schema != SCHEMA {
-        return Err(SimBenchError::Parse(format!(
-            "schema {schema:?}, expected {SCHEMA:?}"
-        )));
-    }
-    let threads = root
-        .get("threads")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| parse("missing threads"))? as usize;
-    let repeats = root
-        .get("repeats")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| parse("missing repeats"))? as usize;
-    let stages = root
-        .get("stages")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| parse("missing stages array"))?
-        .iter()
-        .map(|s| {
-            let name = s
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or_else(|| parse("stage missing name"))?;
-            let wall_ms = s
-                .get("wall_ms")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| parse("stage missing wall_ms"))?;
-            Ok(StageTime {
-                name: name.to_string(),
-                wall_ms,
-            })
-        })
-        .collect::<Result<Vec<_>, SimBenchError>>()?;
-    if stages.is_empty() {
-        return Err(parse("baseline has no stages"));
-    }
-    Ok(Baseline {
-        threads,
-        repeats,
-        stages,
-    })
-}
-
-/// One row of a baseline comparison.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompareRow {
-    /// Stage name.
-    pub name: String,
-    /// Recorded wall (ms); `None` when the stage is absent from the
-    /// baseline file (always a failure — the baseline must be re-recorded).
-    pub baseline_ms: Option<f64>,
-    /// Freshly measured wall, ms.
-    pub current_ms: f64,
-    /// Whether this stage is within tolerance.
-    pub ok: bool,
-}
-
-/// Result of gating a fresh measurement against a recorded baseline.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Comparison {
-    /// Tolerance the gate applied.
-    pub tolerance: f64,
-    /// Per-stage rows in measurement order.
-    pub rows: Vec<CompareRow>,
-    /// Baseline stages that no longer exist in the current stage set: the
-    /// recorded file predates a stage rename/removal and must be
-    /// re-recorded (a stale baseline would otherwise silently gate nothing
-    /// for those stages).
-    pub stale: Vec<String>,
-    /// Executor threads the baseline was recorded at.
-    pub baseline_threads: usize,
-    /// Executor threads of the current measurement.
-    pub current_threads: usize,
-    /// Baseline total (ms).
-    pub baseline_total_ms: f64,
-    /// Current total (ms).
-    pub current_total_ms: f64,
-    /// Whether the summed wall clock is within tolerance.
-    pub total_ok: bool,
-}
-
-impl Comparison {
-    /// Whether baseline and current were measured at the same thread count
-    /// (walls at different thread counts are not comparable).
-    pub fn threads_ok(&self) -> bool {
-        self.baseline_threads == self.current_threads
-    }
-
-    /// Whether every stage and the total passed, the baseline stage set is
-    /// current, and the thread counts match.
-    pub fn passed(&self) -> bool {
-        self.total_ok
-            && self.stale.is_empty()
-            && self.threads_ok()
-            && self.rows.iter().all(|r| r.ok)
-    }
-
-    /// One-line diagnostics for the failure modes a ratio table cannot
-    /// express (stale stage set, thread-count mismatch); empty when neither
-    /// applies.
-    pub fn diagnostics(&self) -> Vec<String> {
-        let mut msgs = Vec::new();
-        if !self.stale.is_empty() {
-            msgs.push(format!(
-                "baseline records stage(s) {:?} that the current build no longer \
-                 measures — the recorded stage set diverged from simbench::STAGES; \
-                 re-record the baseline (memsense-bench sim-baseline --out BENCH_sim.json)",
-                self.stale
-            ));
-        }
-        if !self.threads_ok() {
-            msgs.push(format!(
-                "baseline was recorded at {} executor thread(s) but the current \
-                 measurement used {} — walls are not comparable; re-measure with \
-                 MEMSENSE_THREADS={} or re-record the baseline",
-                self.baseline_threads, self.current_threads, self.baseline_threads
-            ));
-        }
-        msgs
-    }
-
-    /// Renders the human-readable gate table.
-    pub fn to_table(&self) -> Table {
-        let mut t = Table::new(
-            format!(
-                "Sim perf gate: current vs baseline, tolerance {:.0}% -> {}",
-                self.tolerance * 100.0,
-                if self.passed() { "PASS" } else { "FAIL" }
-            ),
-            &["stage", "baseline_ms", "current_ms", "ratio", "status"],
-        );
-        for r in &self.rows {
-            let (base, ratio) = match r.baseline_ms {
-                Some(b) if b > 0.0 => (f(b, 1), f(r.current_ms / b, 2)),
-                Some(b) => (f(b, 1), "-".to_string()),
-                None => ("missing".to_string(), "-".to_string()),
-            };
-            t.row(vec![
-                r.name.clone(),
-                base,
-                f(r.current_ms, 1),
-                ratio,
-                if r.ok { "ok" } else { "REGRESSED" }.to_string(),
-            ]);
-        }
-        for name in &self.stale {
-            t.row(vec![
-                name.clone(),
-                "recorded".to_string(),
-                "missing".to_string(),
-                "-".to_string(),
-                "STALE".to_string(),
-            ]);
-        }
-        t.row(vec![
-            "total".to_string(),
-            f(self.baseline_total_ms, 1),
-            f(self.current_total_ms, 1),
-            if self.baseline_total_ms > 0.0 {
-                f(self.current_total_ms / self.baseline_total_ms, 2)
-            } else {
-                "-".to_string()
-            },
-            if self.total_ok { "ok" } else { "REGRESSED" }.to_string(),
-        ]);
-        t
-    }
-
-    /// The comparison as a [`Json`] value (the CI report artifact).
-    pub fn to_json_value(&self) -> Json {
-        Json::obj(vec![
-            ("schema", Json::str("memsense-sim-baseline-check/v1")),
-            ("tolerance", Json::num(self.tolerance)),
-            ("passed", Json::Bool(self.passed())),
-            (
-                "stale_stages",
-                Json::Arr(self.stale.iter().map(Json::str).collect()),
-            ),
-            ("baseline_threads", Json::num(self.baseline_threads as f64)),
-            ("current_threads", Json::num(self.current_threads as f64)),
-            (
-                "baseline_total_ms",
-                Json::num((self.baseline_total_ms * 1e3).round() / 1e3),
-            ),
-            (
-                "current_total_ms",
-                Json::num((self.current_total_ms * 1e3).round() / 1e3),
-            ),
-            ("total_ok", Json::Bool(self.total_ok)),
-            (
-                "stages",
-                Json::Arr(
-                    self.rows
-                        .iter()
-                        .map(|r| {
-                            Json::obj(vec![
-                                ("name", Json::str(r.name.clone())),
-                                (
-                                    "baseline_ms",
-                                    match r.baseline_ms {
-                                        Some(b) => Json::num((b * 1e3).round() / 1e3),
-                                        None => Json::Null,
-                                    },
-                                ),
-                                ("current_ms", Json::num((r.current_ms * 1e3).round() / 1e3)),
-                                ("ok", Json::Bool(r.ok)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-}
-
-/// Gates `current` against `baseline`: a stage fails when its wall exceeds
-/// `baseline × (1 + tolerance)` or when it is missing from the baseline;
-/// the summed total is held to the same bound. The whole comparison also
-/// fails when the baseline records a stage the current build no longer
-/// measures (a stale file) or when the two were measured at different
-/// thread counts — see [`Comparison::diagnostics`].
-pub fn compare(current: &Baseline, baseline: &Baseline, tolerance: f64) -> Comparison {
-    let limit = 1.0 + tolerance;
-    let rows: Vec<CompareRow> = current
-        .stages
-        .iter()
-        .map(|s| {
-            let base = baseline.stage_ms(&s.name);
-            let ok = match base {
-                Some(b) => s.wall_ms <= b * limit,
-                None => false,
-            };
-            CompareRow {
-                name: s.name.clone(),
-                baseline_ms: base,
-                current_ms: s.wall_ms,
-                ok,
-            }
-        })
-        .collect();
-    let stale: Vec<String> = baseline
-        .stages
-        .iter()
-        .filter(|b| current.stages.iter().all(|c| c.name != b.name))
-        .map(|b| b.name.clone())
-        .collect();
-    let baseline_total = baseline.total_ms();
-    let current_total = current.total_ms();
-    Comparison {
-        tolerance,
-        rows,
-        stale,
-        baseline_threads: baseline.threads,
-        current_threads: current.threads,
-        baseline_total_ms: baseline_total,
-        current_total_ms: current_total,
-        total_ok: current_total <= baseline_total * limit,
-    }
+    result.map_err(|e| format!("{name}: {e}"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn baseline(walls: &[(&str, f64)]) -> Baseline {
-        Baseline {
-            threads: 1,
-            repeats: 3,
-            stages: walls
-                .iter()
-                .map(|(n, w)| StageTime {
-                    name: n.to_string(),
-                    wall_ms: *w,
-                })
-                .collect(),
-        }
-    }
-
     #[test]
-    fn json_roundtrip() {
-        let b = baseline(&[("timeseries/bigdata", 129.25), ("io_pressure", 302.5)]);
-        let text = to_json(&b);
-        let parsed = from_json(&text).unwrap();
-        assert_eq!(parsed, b);
-        assert!((parsed.total_ms() - 431.75).abs() < 1e-9);
-    }
-
-    #[test]
-    fn from_json_rejects_garbage() {
-        assert!(matches!(from_json("{"), Err(SimBenchError::Parse(_))));
-        assert!(matches!(
-            from_json("{\"schema\": \"other/v9\"}"),
-            Err(SimBenchError::Parse(_))
-        ));
-        let no_stages = "{\"schema\": \"memsense-sim-baseline/v1\", \
-                         \"threads\": 1, \"repeats\": 3, \"stages\": []}";
-        assert!(matches!(from_json(no_stages), Err(SimBenchError::Parse(_))));
-    }
-
-    #[test]
-    fn compare_passes_within_tolerance() {
-        let base = baseline(&[("a", 100.0), ("b", 200.0)]);
-        let current = baseline(&[("a", 140.0), ("b", 250.0)]);
-        let c = compare(&current, &base, 0.5);
-        assert!(c.passed());
-        assert!(c.rows.iter().all(|r| r.ok));
-        assert!(c.total_ok);
-    }
-
-    #[test]
-    fn compare_fails_on_stage_regression() {
-        let base = baseline(&[("a", 100.0), ("b", 200.0)]);
-        let current = baseline(&[("a", 151.0), ("b", 100.0)]);
-        let c = compare(&current, &base, 0.5);
-        assert!(!c.passed());
-        assert!(!c.rows[0].ok, "stage a exceeded 1.5x");
-        assert!(c.total_ok, "total still fine");
-        let table = c.to_table().to_ascii();
-        assert!(table.contains("REGRESSED"));
-        assert!(table.contains("FAIL"));
-    }
-
-    #[test]
-    fn compare_fails_on_total_regression() {
-        let base = baseline(&[("a", 100.0), ("b", 100.0)]);
-        // Each stage just under its own limit, total over.
-        let current = baseline(&[("a", 149.0), ("b", 160.0)]);
-        let c = compare(&current, &base, 0.5);
-        assert!(!c.rows[1].ok);
-        assert!(!c.total_ok);
-        assert!(!c.passed());
-    }
-
-    #[test]
-    fn compare_fails_on_missing_stage() {
-        let base = baseline(&[("a", 100.0)]);
-        let current = baseline(&[("a", 100.0), ("new-stage", 5.0)]);
-        let c = compare(&current, &base, 0.5);
-        assert!(!c.passed());
-        let json = c.to_json_value().to_string_pretty();
-        assert!(json.contains("\"baseline_ms\": null"));
-        let parsed = Json::parse(&json).unwrap();
-        assert_eq!(parsed.get("passed").unwrap().as_bool(), Some(false));
-    }
-
-    #[test]
-    fn compare_fails_on_stale_baseline_stage() {
-        // The baseline records a stage the current build no longer
-        // measures: every per-stage row passes, but the file is stale and
-        // the gate must say so rather than silently ignoring the stage.
-        let base = baseline(&[("a", 100.0), ("renamed-away", 50.0)]);
-        let current = baseline(&[("a", 100.0)]);
-        let c = compare(&current, &base, 0.5);
-        assert!(c.rows.iter().all(|r| r.ok), "live rows are fine");
-        assert_eq!(c.stale, vec!["renamed-away".to_string()]);
-        assert!(!c.passed());
-        let msgs = c.diagnostics();
-        assert_eq!(msgs.len(), 1);
-        assert!(msgs[0].contains("renamed-away"), "{msgs:?}");
-        assert!(msgs[0].contains("re-record"), "{msgs:?}");
-        let table = c.to_table().to_ascii();
-        assert!(table.contains("STALE"));
-        let json = c.to_json_value().to_string_pretty();
-        assert!(json.contains("\"stale_stages\""));
-        assert!(json.contains("renamed-away"));
-    }
-
-    #[test]
-    fn compare_fails_on_thread_count_mismatch() {
-        let base = baseline(&[("a", 100.0)]);
-        let mut current = baseline(&[("a", 100.0)]);
-        current.threads = 8;
-        let c = compare(&current, &base, 0.5);
-        assert!(!c.threads_ok());
-        assert!(!c.passed());
-        let msgs = c.diagnostics();
-        assert!(
-            msgs.iter().any(|m| m.contains("MEMSENSE_THREADS=1")),
-            "{msgs:?}"
-        );
-        let json = c.to_json_value().to_string_pretty();
-        assert!(json.contains("\"baseline_threads\": 1"));
-        assert!(json.contains("\"current_threads\": 8"));
-    }
-
-    #[test]
-    fn matching_comparison_has_no_diagnostics() {
-        let base = baseline(&[("a", 100.0)]);
-        let c = compare(&base.clone(), &base, 0.5);
-        assert!(c.passed());
-        assert!(c.diagnostics().is_empty());
-        assert!(c.stale.is_empty());
-    }
-
-    #[test]
-    fn profile_table_lists_stage_work() {
-        let b = baseline(&[("a", 12.5)]);
-        let profiles = vec![StageProfile {
-            name: "a".to_string(),
-            ops: 1000,
-            cache_accesses: 400,
-            tlb_accesses: 0,
-            prefetch_fills: 7,
-        }];
-        let t = profile_table(&b, &profiles).to_ascii();
-        assert!(t.contains("cache_accesses"));
-        assert!(t.contains("1000"));
-        assert!(t.contains("12.5"));
-    }
-
-    #[test]
-    fn stage_names_are_known() {
-        // Every published stage must be runnable (guards against renames
-        // leaving BENCH_sim.json stale).
-        for s in STAGES {
-            assert!(
-                !matches!(run_stage_name_check(s), Err(SimBenchError::Stage(m)) if m.contains("unknown")),
-                "stage {s} must be dispatchable"
-            );
-        }
-        fn run_stage_name_check(name: &str) -> Result<(), SimBenchError> {
-            if STAGES.contains(&name) {
-                Ok(())
-            } else {
-                Err(SimBenchError::Stage(format!("unknown stage {name:?}")))
-            }
-        }
+    fn unknown_stage_is_an_error() {
+        let err = run_stage("timeseries/none").unwrap_err();
+        assert!(err.contains("unknown stage"), "{err}");
     }
 }

@@ -243,9 +243,6 @@ const WIRE_SCOPES: &[&str] = &[
     "crates/stream/src/",
 ];
 
-/// Files and prefixes allowed to read wall clocks: executor job telemetry,
-/// the serve daemon's request metrics/benchmarking, and the stream
-/// throughput baseline.
 /// Simulator hot-loop modules: library code here runs once per simulated
 /// op, access, or miss, so a per-call allocation multiplies across millions
 /// of ops per run.
@@ -258,11 +255,9 @@ const SIM_HOT_SCOPES: &[&str] = &[
     "crates/sim/src/mem.rs",
 ];
 
-const WALLCLOCK_ALLOW: &[&str] = &[
-    "crates/experiments/src/executor.rs",
-    "crates/serve/src/",
-    "crates/stream/src/baseline.rs",
-];
+/// Files and prefixes allowed to read wall clocks: executor job telemetry
+/// and the serve daemon's request metrics/benchmarking.
+const WALLCLOCK_ALLOW: &[&str] = &["crates/experiments/src/executor.rs", "crates/serve/src/"];
 
 fn in_scope(rel: &str, scopes: &[&str]) -> bool {
     scopes.iter().any(|s| rel == *s || rel.starts_with(s))

@@ -338,6 +338,21 @@ mod tests {
     }
 
     #[test]
+    fn fig8_hpc_is_bandwidth_bound_at_every_point() {
+        let (sys, curve) = setup();
+        let hpc = bandwidth_sweep(
+            &WorkloadParams::hpc_class(),
+            &sys,
+            &curve,
+            &default_bandwidth_deltas(),
+        )
+        .unwrap();
+        for p in &hpc {
+            assert_eq!(p.solved.regime, Regime::BandwidthBound, "at {}", p.delta);
+        }
+    }
+
+    #[test]
     fn fig8_big_data_has_a_knee() {
         // "Big data can tolerate some bandwidth reduction, but does show
         // significant impact when peak bandwidth is reduced by more than

@@ -58,14 +58,14 @@
 //!   not just request bytes (see `server::bypasses_result_cache`).
 //! * [`bench`] — a built-in load generator (`memsense-serve bench`) that
 //!   drives the server and reports throughput, latency percentiles, and the
-//!   cache-hit speedup, so the service layer is self-benchmarkable. The
-//!   recorded-baseline twin lives in [`baseline`] (`BENCH_serve.json`).
+//!   cache-hit speedup, so the service layer is self-benchmarkable.
+//!   `memsense-bench serve-baseline` runs the same generator to record and
+//!   gate `BENCH_serve.json`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod api;
-pub mod baseline;
 pub mod bench;
 pub mod cache;
 pub mod flight;

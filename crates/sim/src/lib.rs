@@ -46,7 +46,6 @@ pub mod mem;
 pub mod prefetch;
 pub mod record;
 pub mod telemetry;
-pub mod tiered;
 pub mod tlb;
 pub mod trace;
 

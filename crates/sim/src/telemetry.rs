@@ -2,8 +2,8 @@
 //!
 //! Machines flush their lifetime work counters — ops simulated, cache and
 //! TLB accesses, prefetch fills — into a set of process-global atomics when
-//! they are dropped. Harnesses (notably `memsense-bench sim-baseline
-//! --profile`) snapshot the registry around a stage to attribute simulator
+//! they are dropped. Harnesses (notably `memsense-bench sim-baseline`'s
+//! profile table) snapshot the registry around a stage to attribute simulator
 //! work to it: every machine a stage builds is also dropped inside it, so
 //! per-stage deltas are exact as long as stages do not run concurrently.
 //!

@@ -19,12 +19,12 @@
 //! full-grid solve of the evolved spec (`tests/differential.rs` proves it
 //! over random sequences). The win is the skip ratio: a single-point delta
 //! re-solves only that point's row of cells, so `cells_skipped /
-//! cells_resolved` grows with grid size ([`baseline`] measures it).
+//! cells_resolved` grows with grid size (`memsense-bench stream-baseline`
+//! measures it).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod grid;
 pub mod session;
 
