@@ -3,7 +3,8 @@
 //! Stages run one at a time, so each wall is undiluted by co-running
 //! stages; the executor's worker pool serves the stage's inner jobs (sweep
 //! points, series workloads, pressure cells) instead. The simulator work
-//! counters of each stage's first repeat are printed as the profile table.
+//! counters of each stage's first repeat are printed as the profile table,
+//! followed by one informational (ungated) line of generator cost.
 
 use std::time::Instant;
 
@@ -11,11 +12,44 @@ use memsense_experiments::json::Json;
 use memsense_experiments::render::{f, Table};
 use memsense_experiments::simbench::{run_stage, STAGES};
 use memsense_sim::telemetry::{self, TelemetrySnapshot};
+use memsense_sim::trace::OpBlock;
+use memsense_workloads::Workload;
 
 use crate::baseline::{Baseline, Metric, Scenario};
 
+/// Ops the generator probe drains from each stream.
+const GEN_OPS_PER_STREAM: usize = 60_000;
+
+/// Ops per `fill_block` call in the generator probe: the engine's
+/// scheduling quantum.
+const GEN_BLOCK_OPS: usize = 32;
+
+/// Generator cost in ns per op: every workload's `streams(4, ..)` drained
+/// through `fill_block` alone, stream construction excluded. Best of
+/// `repeats`.
+fn generator_ns_per_op(repeats: usize) -> f64 {
+    let mut block = OpBlock::new();
+    let mut best = f64::INFINITY;
+    for _ in 0..repeats.max(1) {
+        let (mut ns, mut ops) = (0.0, 0usize);
+        for w in Workload::all() {
+            for mut stream in w.streams(4, 0x5e71e5) {
+                let start = Instant::now();
+                for _ in 0..GEN_OPS_PER_STREAM / GEN_BLOCK_OPS {
+                    stream.fill_block(&mut block, GEN_BLOCK_OPS);
+                    ops += std::hint::black_box(block.ops.len());
+                }
+                ns += start.elapsed().as_nanos() as f64;
+            }
+        }
+        best = best.min(ns / ops.max(1) as f64);
+    }
+    best
+}
+
 /// Times every stage of [`STAGES`] `repeats` times, keeping each stage's
-/// minimum wall, and prints the per-stage profile table.
+/// minimum wall, and prints the per-stage profile table and the generator
+/// cost line.
 pub fn measure(repeats: usize) -> Result<Baseline, String> {
     let mut best = [f64::INFINITY; STAGES.len()];
     let mut work = [TelemetrySnapshot::default(); STAGES.len()];
@@ -55,6 +89,10 @@ pub fn measure(repeats: usize) -> Result<Baseline, String> {
         ]);
     }
     print!("{}", profile.to_ascii());
+    println!(
+        "generator: {} ns/op (fill_block only, construction excluded; informational, not gated)",
+        f(generator_ns_per_op(repeats), 2)
+    );
 
     let mut metrics: Vec<Metric> = STAGES
         .iter()

@@ -405,9 +405,21 @@ impl RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{MutexGuard, PoisonError};
+
+    /// Serializes the tests here that run jobs or drain the process-wide
+    /// job log, so one test's drain cannot swallow another's records.
+    /// Tests in other modules may still append concurrently, so assertions
+    /// look only at their own labels.
+    static JOB_LOG_TESTS: Mutex<()> = Mutex::new(());
+
+    fn lock_job_log() -> MutexGuard<'static, ()> {
+        JOB_LOG_TESTS.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn par_map_preserves_submission_order() {
+        let _log = lock_job_log();
         // Jobs finish out of order (later jobs are quicker), but results
         // must come back in submission order.
         let items: Vec<u64> = (0..64).collect();
@@ -424,6 +436,7 @@ mod tests {
 
     #[test]
     fn par_map_returns_earliest_error() {
+        let _log = lock_job_log();
         let out: Result<Vec<u32>, String> = par_map("err", (0u32..32).collect(), |i| {
             if i == 5 || i == 20 {
                 Err(format!("boom {i}"))
@@ -437,19 +450,24 @@ mod tests {
 
     #[test]
     fn empty_input_yields_empty_output() {
+        let _log = lock_job_log();
         let out: Result<Vec<u32>, ()> = par_map("none", Vec::<u32>::new(), Ok);
         assert_eq!(out.unwrap(), Vec::<u32>::new());
     }
 
     #[test]
     fn job_log_records_labels_and_outcomes() {
+        let _log = lock_job_log();
         drain_job_log();
         let _ = par_map_full(
             vec![1u32, 2],
             |_, item| format!("logged/{item}"),
             |i| if i == 2 { Err(()) } else { Ok(i) },
         );
-        let mut log = drain_job_log();
+        let mut log: Vec<JobRecord> = drain_job_log()
+            .into_iter()
+            .filter(|r| r.label.starts_with("logged/"))
+            .collect();
         log.sort_by(|a, b| a.label.cmp(&b.label));
         assert_eq!(log.len(), 2);
         assert_eq!(log[0].label, "logged/1");
@@ -460,6 +478,7 @@ mod tests {
 
     #[test]
     fn nested_par_map_completes_and_is_ordered() {
+        let _log = lock_job_log();
         let out: Vec<Vec<u32>> = par_map("outer", (0u32..8).collect(), |i| {
             par_map("inner", (0u32..8).collect(), move |j| {
                 Ok::<u32, ()>(i * 10 + j)
@@ -475,6 +494,7 @@ mod tests {
 
     #[test]
     fn permits_are_returned_after_use() {
+        let _log = lock_job_log();
         let before = permit_pool().load(Ordering::Relaxed);
         let _: Vec<u32> = par_map("permits", (0u32..32).collect(), Ok::<u32, ()>).unwrap();
         // Other tests run concurrently, so poll briefly for the pool to

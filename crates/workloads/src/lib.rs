@@ -157,16 +157,22 @@ impl Workload {
 
     /// Builds one differently-seeded stream per hardware thread, as the
     /// paper runs one software thread (or program copy) per logical
-    /// processor.
+    /// processor. Thread 0's generator is built first and the others are
+    /// reseeded from it, so they share its Zipf table.
     pub fn streams(self, threads: u32, base_seed: u64) -> Vec<BoxedStream> {
-        (0..threads)
-            .map(|t| {
-                self.stream(
-                    base_seed
-                        .wrapping_add(t as u64)
-                        .wrapping_mul(0x9e37_79b9_7f4a_7c15),
-                )
-            })
+        let seed = |t: u32| {
+            base_seed
+                .wrapping_add(t as u64)
+                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+        };
+        if threads == 0 {
+            return Vec::new();
+        }
+        let first = self.workload(seed(0));
+        let rest: Vec<MixWorkload> = (1..threads).map(|t| first.reseeded(seed(t))).collect();
+        std::iter::once(first)
+            .chain(rest)
+            .map(|w| Box::new(w) as BoxedStream)
             .collect()
     }
 }
@@ -238,6 +244,11 @@ mod tests {
         let a: Vec<_> = (0..200).map(|_| streams[0].next_op()).collect();
         let b: Vec<_> = (0..200).map(|_| streams[1].next_op()).collect();
         assert_ne!(a, b, "different seeds should diverge");
+    }
+
+    #[test]
+    fn zero_threads_build_no_streams() {
+        assert!(Workload::WebCaching.streams(0, 7).is_empty());
     }
 
     #[test]

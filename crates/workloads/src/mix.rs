@@ -22,7 +22,30 @@ use crate::patterns::{
 /// Controls the workload's `CPI_cache`.
 pub type ExtraCycleDist = [f64; 5];
 
-const EXTRA_CYCLE_VALUES: [u32; 5] = [0, 1, 2, 4, 8];
+/// Extra cycles of each [`ExtraCycleDist`] slot, plus a trailing 0 for a
+/// draw past the distribution's rounded total, which falls through to a
+/// plain compute op. Zipped with a distribution, the trailing 0 drops out.
+const EXTRA_CYCLES: [u32; 6] = [0, 1, 2, 4, 8, 0];
+
+/// Running sums of `dist`, accumulated left to right.
+fn cumulative(dist: &ExtraCycleDist) -> ExtraCycleDist {
+    let mut acc = 0.0;
+    dist.map(|p| {
+        acc += p;
+        acc
+    })
+}
+
+/// Extra cycles for a compute op drawn at `u`: the value of the first slot
+/// whose running sum exceeds `u`. With non-negative probabilities the sums
+/// never decrease, so the slots with `u >= cdf[i]` form a prefix whose
+/// length is that first-match index. Counting them needs no branch on the
+/// random `u`.
+#[inline]
+fn pick_extra_cycles(cdf: &ExtraCycleDist, u: f64) -> u32 {
+    let slot: usize = cdf.iter().map(|&c| usize::from(u >= c)).sum();
+    EXTRA_CYCLES[slot]
+}
 
 /// Per-unit-of-work ratios defining a workload. Counts may be fractional;
 /// the generator carries credit across units.
@@ -153,18 +176,25 @@ impl MixSpec {
     pub fn mean_extra_cycles(&self) -> f64 {
         self.extra_dist
             .iter()
-            .zip(EXTRA_CYCLE_VALUES)
+            .zip(EXTRA_CYCLES)
             .map(|(p, v)| p * v as f64)
             .sum()
     }
 
-    /// Validates that the distribution sums to ~1 and counts are sane.
+    /// Validates that the distribution's entries are non-negative and finite
+    /// and sum to ~1, and that counts are sane.
     ///
     /// # Panics
     ///
     /// Panics on an invalid spec (these are compiled-in constants, so a bad
     /// spec is a programming error, not a runtime condition).
     pub fn assert_valid(&self) {
+        assert!(
+            self.extra_dist.iter().all(|p| p.is_finite() && *p >= 0.0),
+            "{}: extra_dist entries must be non-negative and finite, got {:?}",
+            self.name,
+            self.extra_dist
+        );
         let sum: f64 = self.extra_dist.iter().sum();
         assert!(
             (sum - 1.0).abs() < 1e-9,
@@ -219,6 +249,8 @@ pub struct MixWorkload {
     buf: Vec<Op>,
     head: usize,
     rng: SmallRng,
+    /// Running sums of `spec.extra_dist` (see [`pick_extra_cycles`]).
+    extra_cdf: ExtraCycleDist,
     scan: ScanKind,
     store_scan: SequentialScan,
     nt_scan: SequentialScan,
@@ -263,9 +295,29 @@ const GATHER_BASE: u64 = 0x5_0000_0000;
 const HOT_BASE: u64 = 0x6_0000_0000;
 const ZIPF_BASE: u64 = 0x7_0000_0000;
 
+/// Mixed into the stream seed for the Zipf sampler's RNG.
+const ZIPF_SEED: u64 = 0x21bf;
+
 impl MixWorkload {
     /// Builds the stream for `spec`, seeded deterministically.
     pub fn new(spec: MixSpec, seed: u64) -> Self {
+        let zipf = (spec.zipf_loads > 0.0).then(|| {
+            // One "object" per line across the large footprint, capped so
+            // CDF construction stays cheap.
+            let objects = (spec.big_region / 64).min(262_144) as usize;
+            ZipfSampler::new(objects, spec.zipf_theta, seed ^ ZIPF_SEED)
+        });
+        Self::assemble(spec, seed, zipf)
+    }
+
+    /// The stream [`MixWorkload::new`] builds for this spec at `seed`, but
+    /// sharing this stream's Zipf table instead of recomputing it.
+    pub(crate) fn reseeded(&self, seed: u64) -> Self {
+        let zipf = self.zipf.as_ref().map(|z| z.reseeded(seed ^ ZIPF_SEED));
+        Self::assemble(self.spec.clone(), seed, zipf)
+    }
+
+    fn assemble(spec: MixSpec, seed: u64, zipf: Option<ZipfSampler>) -> Self {
         spec.assert_valid();
         let scan = if spec.seq_stride == 64 {
             ScanKind::Dense(SequentialScan::new(SCAN_BASE, spec.big_region, 64))
@@ -282,15 +334,9 @@ impl MixWorkload {
             chase: PointerChase::new(CHASE_BASE, spec.big_region, seed ^ 0xc4a5e),
             gather: UniformRandom::new(GATHER_BASE, spec.big_region, seed ^ 0x6a783),
             hot: UniformRandom::new(HOT_BASE, spec.hot_region, seed ^ 0x407),
-            zipf: if spec.zipf_loads > 0.0 {
-                // One "object" per line across the large footprint, capped
-                // so CDF construction stays cheap.
-                let objects = (spec.big_region / 64).min(262_144) as usize;
-                Some(ZipfSampler::new(objects, spec.zipf_theta, seed ^ 0x21bf))
-            } else {
-                None
-            },
+            zipf,
             rng: mix_rng(seed),
+            extra_cdf: cumulative(&spec.extra_dist),
             scan,
             spec,
             buf: Vec::new(),
@@ -313,16 +359,11 @@ impl MixWorkload {
         &self.spec
     }
 
-    fn compute_op(&mut self) -> Op {
-        let u: f64 = self.rng.gen();
-        let mut acc = 0.0;
-        for (p, v) in self.spec.extra_dist.iter().zip(EXTRA_CYCLE_VALUES) {
-            acc += p;
-            if u < acc {
-                return Op::compute_heavy(v);
-            }
-        }
-        Op::compute()
+    /// Appends `n` compute ops, one extra-cycle draw each.
+    fn push_compute(&mut self, n: usize) {
+        let (rng, cdf) = (&mut self.rng, &self.extra_cdf);
+        self.buf
+            .extend((0..n).map(|_| Op::compute_heavy(pick_extra_cycles(cdf, rng.gen()))));
     }
 
     fn refill(&mut self) {
@@ -426,10 +467,7 @@ impl MixWorkload {
                 }
                 let n = per_slot + usize::from(extra_budget > 0);
                 extra_budget = extra_budget.saturating_sub(1);
-                for _ in 0..n {
-                    let op = self.compute_op();
-                    self.buf.push(op);
-                }
+                self.push_compute(n);
                 if idle_chunk > 0 {
                     self.buf.push(Op::idle(idle_chunk));
                     idle_left -= idle_chunk;
@@ -437,10 +475,7 @@ impl MixWorkload {
             }
         }
         if slots == 1 && self.buf.is_empty() {
-            for _ in 0..compute {
-                let op = self.compute_op();
-                self.buf.push(op);
-            }
+            self.push_compute(compute as usize);
         }
         if idle_left > 0 {
             self.buf.push(Op::idle(idle_left));
@@ -497,6 +532,108 @@ impl InstructionStream for MixWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The first-match walk `pick_extra_cycles` replaced: the reference its
+    /// branchless count must equal.
+    fn first_match_extra_cycles(dist: &ExtraCycleDist, u: f64) -> u32 {
+        let mut acc = 0.0;
+        for (p, v) in dist.iter().zip(EXTRA_CYCLES) {
+            acc += p;
+            if u < acc {
+                return v;
+            }
+        }
+        0
+    }
+
+    /// The neighbouring doubles of a non-negative finite `x`.
+    fn neighbours(x: f64) -> [f64; 2] {
+        let below = if x > 0.0 {
+            f64::from_bits(x.to_bits() - 1)
+        } else {
+            0.0
+        };
+        [below, f64::from_bits(x.to_bits() + 1)]
+    }
+
+    /// A valid distribution from raw weights: entries whose `zero_mask` bit
+    /// is set are zeroed, the rest are normalised, then the whole is scaled
+    /// by `skew` (within `assert_valid`'s 1e-9 sum tolerance) so the running
+    /// total can land just below or above 1.
+    fn valid_dist(weights: [f64; 5], zero_mask: u32, skew: f64) -> ExtraCycleDist {
+        let mut dist = weights;
+        for (i, p) in dist.iter_mut().enumerate() {
+            if zero_mask & (1 << i) != 0 {
+                *p = 0.0;
+            }
+        }
+        let total: f64 = dist.iter().sum();
+        if total == 0.0 {
+            dist[0] = 1.0;
+        } else {
+            dist = dist.map(|p| p / total);
+        }
+        dist.map(|p| p * skew)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn branchless_pick_matches_first_match_walk(
+            weights in (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0),
+            zero_mask in 0u32..32,
+            skew in 1.0f64 - 4e-10..1.0 + 4e-10,
+            u in 0.0f64..1.0,
+        ) {
+            let (a, b, c, d, e) = weights;
+            let dist = valid_dist([a, b, c, d, e], zero_mask, skew);
+            let mut spec = MixSpec::base("prop");
+            spec.extra_dist = dist;
+            spec.assert_valid();
+            let cdf = cumulative(&dist);
+            // A random draw, every threshold and its neighbours, and draws
+            // at and past the final running sum.
+            let mut draws = vec![u, 0.0, 1.0, 1.5];
+            for c in cdf {
+                draws.push(c);
+                draws.extend(neighbours(c));
+            }
+            for u in draws {
+                prop_assert_eq!(
+                    pick_extra_cycles(&cdf, u),
+                    first_match_extra_cycles(&dist, u),
+                    "dist {:?}, u {}",
+                    dist,
+                    u
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn pick_falls_through_to_plain_compute_past_the_total() {
+        // Sums to 1 - 1e-12: a draw in the gap emits a plain compute op.
+        let dist = [0.5, 0.25, 0.125, 0.125 - 1e-12, 0.0];
+        let cdf = cumulative(&dist);
+        let u = 1.0 - 5e-13;
+        assert_eq!(pick_extra_cycles(&cdf, u), 0);
+        assert_eq!(first_match_extra_cycles(&dist, u), 0);
+        assert_eq!(pick_extra_cycles(&cdf, cdf[3] - 1e-9), 4);
+    }
+
+    #[test]
+    fn reseeded_stream_matches_a_fresh_one() {
+        let mut s = spec();
+        s.zipf_loads = 0.5;
+        let parent = MixWorkload::new(s.clone(), 3);
+        let mut sibling = parent.reseeded(11);
+        let mut fresh = MixWorkload::new(s, 11);
+        for _ in 0..20_000 {
+            assert_eq!(sibling.next_op(), fresh.next_op());
+        }
+    }
 
     fn spec() -> MixSpec {
         MixSpec {
@@ -649,6 +786,23 @@ mod tests {
     fn invalid_dist_panics() {
         let mut s = MixSpec::base("bad");
         s.extra_dist = [0.5, 0.0, 0.0, 0.0, 0.0];
+        let _ = MixWorkload::new(s, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "extra_dist entries must be non-negative and finite")]
+    fn negative_dist_entry_panics() {
+        let mut s = MixSpec::base("negative");
+        // Sums to exactly 1, so only the entry check catches it.
+        s.extra_dist = [1.5, -0.5, 0.0, 0.0, 0.0];
+        let _ = MixWorkload::new(s, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "extra_dist entries must be non-negative and finite")]
+    fn non_finite_dist_entry_panics() {
+        let mut s = MixSpec::base("nan");
+        s.extra_dist = [f64::NAN, 1.0, 0.0, 0.0, 0.0];
         let _ = MixWorkload::new(s, 1);
     }
 

@@ -5,6 +5,8 @@
 //! memcached hits a hash table with Zipf-popular keys, SPECfp kernels stride
 //! through large arrays. These small samplers produce those shapes.
 
+use std::sync::Arc;
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -122,10 +124,10 @@ impl UniformRandom {
 
 /// Zipf-distributed item popularity over `n` items — web-cache keys and
 /// OLTP hot rows. Uses the standard inverse-CDF method over precomputed
-/// cumulative weights.
+/// cumulative weights; reseeded siblings of one sampler share its table.
 #[derive(Debug, Clone)]
 pub struct ZipfSampler {
-    cdf: Vec<f64>,
+    cdf: Arc<[f64]>,
     rng: SmallRng,
 }
 
@@ -150,7 +152,18 @@ impl ZipfSampler {
             *c /= total;
         }
         ZipfSampler {
-            cdf,
+            cdf: cdf.into(),
+            rng: SmallRng::seed_from_u64(seed),
+        }
+    }
+
+    /// A sampler over the same ranks and exponent, drawing from a fresh RNG
+    /// seeded with `seed`. It shares this sampler's table, so it samples
+    /// exactly as `ZipfSampler::new(n, theta, seed)` would, without
+    /// recomputing the table.
+    pub(crate) fn reseeded(&self, seed: u64) -> Self {
+        ZipfSampler {
+            cdf: Arc::clone(&self.cdf),
             rng: SmallRng::seed_from_u64(seed),
         }
     }
@@ -269,6 +282,17 @@ mod tests {
         let max = *counts.iter().max().unwrap() as f64;
         let min = *counts.iter().min().unwrap() as f64;
         assert!(max / min < 1.5, "uniform spread, got {min}..{max}");
+    }
+
+    #[test]
+    fn zipf_reseeded_matches_fresh_sampler_and_shares_table() {
+        let parent = ZipfSampler::new(5_000, 0.99, 1);
+        let mut sibling = parent.reseeded(77);
+        let mut fresh = ZipfSampler::new(5_000, 0.99, 77);
+        assert!(Arc::ptr_eq(&parent.cdf, &sibling.cdf));
+        for _ in 0..10_000 {
+            assert_eq!(sibling.sample(), fresh.sample());
+        }
     }
 
     #[test]
