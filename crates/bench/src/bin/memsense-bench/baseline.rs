@@ -9,6 +9,7 @@
 //! JSON report.
 
 use std::path::Path;
+use std::process::Command;
 
 use memsense_experiments::executor::thread_count;
 use memsense_experiments::json::Json;
@@ -111,20 +112,46 @@ impl Metric {
 
 /// The machine a baseline was measured on. Walls are only comparable at
 /// equal `threads`; `nproc` is recorded so numbers from different hosts are
-/// never mistaken for like-for-like.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// never mistaken for like-for-like. `rustc` and `git_sha` are
+/// informational: the gate never compares them, and files recorded before
+/// they existed omit them.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Host {
     pub nproc: usize,
     pub threads: usize,
+    /// `rustc --version` on the recording host.
+    pub rustc: Option<String>,
+    /// The checked-out commit, suffixed `-dirty` when tracked files differ
+    /// from it.
+    pub git_sha: Option<String>,
 }
 
 impl Host {
     pub fn current() -> Host {
+        let dirty = command_output("git", &["status", "--porcelain", "--untracked-files=no"])
+            .is_some_and(|changes| !changes.is_empty());
         Host {
             nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
             threads: thread_count(),
+            rustc: command_output("rustc", &["--version"]),
+            git_sha: command_output("git", &["rev-parse", "HEAD"]).map(|sha| {
+                if dirty {
+                    sha + "-dirty"
+                } else {
+                    sha
+                }
+            }),
         }
     }
+}
+
+/// The trimmed stdout of a successful command run in the current
+/// directory; `None` if it cannot run or fails.
+fn command_output(program: &str, args: &[&str]) -> Option<String> {
+    let out = Command::new(program).args(args).output().ok()?;
+    out.status
+        .success()
+        .then(|| String::from_utf8_lossy(&out.stdout).trim().to_string())
 }
 
 /// A recorded (or freshly measured) baseline.
@@ -179,7 +206,7 @@ impl Baseline {
         Json::obj(vec![
             ("schema", Json::str(SCHEMA)),
             ("scenario", Json::str(self.scenario.name())),
-            ("host", host_json(self.host)),
+            ("host", host_json(&self.host)),
             ("params", self.params.clone()),
             (
                 "metrics",
@@ -218,9 +245,12 @@ impl Baseline {
         let scenario =
             Scenario::parse(scenario).ok_or_else(|| format!("unknown scenario {scenario:?}"))?;
         let host = field(&root, "host")?;
+        let optional = |key: &str| host.get(key).and_then(Json::as_str).map(str::to_string);
         let host = Host {
             nproc: num(host, "nproc")? as usize,
             threads: num(host, "threads")? as usize,
+            rustc: optional("rustc"),
+            git_sha: optional("git_sha"),
         };
         let params = field(&root, "params")?.clone();
         let metrics = field(&root, "metrics")?
@@ -292,11 +322,18 @@ impl Baseline {
     }
 }
 
-fn host_json(host: Host) -> Json {
-    Json::obj(vec![
+fn host_json(host: &Host) -> Json {
+    let mut pairs = vec![
         ("nproc", Json::num(host.nproc as f64)),
         ("threads", Json::num(host.threads as f64)),
-    ])
+    ];
+    if let Some(rustc) = &host.rustc {
+        pairs.push(("rustc", Json::str(rustc)));
+    }
+    if let Some(sha) = &host.git_sha {
+        pairs.push(("git_sha", Json::str(sha)));
+    }
+    Json::obj(pairs)
 }
 
 /// One metric of a comparison. `baseline` or `current` is `None` when the
@@ -366,8 +403,8 @@ pub fn compare(current: &Baseline, baseline: &Baseline, tolerance: f64) -> Compa
     Comparison {
         scenario: current.scenario,
         tolerance,
-        baseline_host: baseline.host,
-        current_host: current.host,
+        baseline_host: baseline.host.clone(),
+        current_host: current.host.clone(),
         rows,
     }
 }
@@ -411,14 +448,14 @@ impl Comparison {
 
     /// The gate table: one row per metric, plus the current/baseline ratio.
     pub fn to_table(&self) -> Table {
-        let host = |h: Host| format!("{} cpu/{} thr", h.nproc, h.threads);
+        let host = |h: &Host| format!("{} cpu/{} thr", h.nproc, h.threads);
         let mut t = Table::new(
             format!(
                 "{} perf gate: tolerance {:.0}%, baseline {}, current {} -> {}",
                 self.scenario.name(),
                 self.tolerance * 100.0,
-                host(self.baseline_host),
-                host(self.current_host),
+                host(&self.baseline_host),
+                host(&self.current_host),
                 if self.passed() { "PASS" } else { "FAIL" }
             ),
             &[
@@ -468,8 +505,8 @@ impl Comparison {
             ("scenario", Json::str(self.scenario.name())),
             ("tolerance", Json::num(self.tolerance)),
             ("passed", Json::Bool(self.passed())),
-            ("baseline_host", host_json(self.baseline_host)),
-            ("current_host", host_json(self.current_host)),
+            ("baseline_host", host_json(&self.baseline_host)),
+            ("current_host", host_json(&self.current_host)),
             ("metrics", Json::Arr(rows.collect())),
             (
                 "diagnostics",
@@ -496,7 +533,12 @@ mod tests {
         };
         Baseline {
             scenario,
-            host: Host { nproc: 2, threads },
+            host: Host {
+                nproc: 2,
+                threads,
+                rustc: None,
+                git_sha: None,
+            },
             params,
             metrics,
         }
@@ -548,6 +590,21 @@ mod tests {
             let text = b.to_json();
             assert_eq!(Baseline::from_json(&text).unwrap(), b, "{text}");
         }
+    }
+
+    #[test]
+    fn host_toolchain_and_commit_are_optional_and_never_gated() {
+        let mut b = stream(0.111, &[1.0; 4]);
+        b.host.rustc = Some("rustc 1.0.0 (abc 2015-05-15)".to_string());
+        b.host.git_sha = Some("0123abcd-dirty".to_string());
+        let text = b.to_json();
+        assert!(text.contains("\"git_sha\": \"0123abcd-dirty\""), "{text}");
+        assert_eq!(Baseline::from_json(&text).unwrap(), b);
+        // A file without them (as recorded before they existed) still
+        // parses, and a toolchain or commit difference alone passes.
+        let plain = stream(0.111, &[1.0; 4]);
+        assert!(!plain.to_json().contains("rustc"));
+        assert!(compare(&b, &plain, 0.0).passed());
     }
 
     #[test]
@@ -643,8 +700,8 @@ mod tests {
         let c = compare(&serve(28_899.5 * 0.49, 17.1, 27.3), &base, tol);
         assert!(!row(&c, "throughput_rps").ok && !c.passed());
 
-        // Stream: a dependency-index regression that makes a point edit
-        // re-solve half the grid fails even at full speed.
+        // Stream: a dirty-cell regression that makes a point edit re-solve
+        // half the grid fails even at full speed.
         let base = stream(0.111, &[3152.8, 6554.7, 28_716.2, 111_400.2]);
         let mut regressed = base.clone();
         regressed.metrics[0].value = 0.5;

@@ -16,10 +16,11 @@
 //! * [`Json::canonical`] — the cache-key form: compact with object keys
 //!   sorted, so two requests that differ only in key order (or in `-0.0`
 //!   vs `0.0`) serialize identically.
-//! * [`escape_str`] / [`fmt_f64`] — the escaping and float-canonicalization
-//!   primitives, usable directly by code that streams JSON.
+//! * [`escape_str`] / [`write_f64`] — the escaping and float-canonicalization
+//!   primitives, usable directly by code that streams JSON ([`fmt_f64`] is
+//!   [`write_f64`] into a new string).
 //!
-//! Float policy: numbers serialize via [`fmt_f64`], Rust's shortest
+//! Float policy: numbers serialize via [`write_f64`], Rust's shortest
 //! round-trip form with `-0.0` collapsed to `0` — and non-finite values
 //! (which RFC 8259 cannot represent) serialize as `null` rather than
 //! leaking `NaN`/`inf` tokens into the document. The parser likewise
@@ -159,7 +160,7 @@ impl Json {
     }
 
     /// Canonical serialization for content addressing: compact, object keys
-    /// sorted bytewise, floats via [`fmt_f64`] (so `-0.0` and `0.0` produce
+    /// sorted bytewise, floats via [`write_f64`] (so `-0.0` and `0.0` produce
     /// the same key). Two semantically equal documents that differ only in
     /// whitespace, key order, or zero sign canonicalize identically.
     pub fn canonical(&self) -> String {
@@ -172,7 +173,7 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(v) => out.push_str(&fmt_f64(*v)),
+            Json::Num(v) => write_f64(*v, out),
             Json::Str(s) => escape_str(s, out),
             Json::Arr(items) => {
                 if items.is_empty() {
@@ -196,28 +197,40 @@ impl Json {
                     return;
                 }
                 out.push('{');
-                let sorted: Vec<&(String, Json)> = if canonical {
-                    let ordered: BTreeMap<&String, &(String, Json)> =
-                        pairs.iter().map(|p| (&p.0, p)).collect();
-                    ordered.into_values().collect()
+                let members = pairs.iter().map(|(k, v)| (k.as_str(), v));
+                if canonical && !pairs.windows(2).all(|w| w[0].0 < w[1].0) {
+                    // Keys out of order or repeated: sort them, and let the
+                    // last of a repeated key win. Objects built with their
+                    // keys already strictly ascending skip this map.
+                    let sorted: BTreeMap<&str, &Json> = members.collect();
+                    Self::write_members(out, sorted.into_iter(), indent, level, canonical);
                 } else {
-                    pairs.iter().collect()
-                };
-                for (i, (key, value)) in sorted.into_iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    Self::newline_indent(out, indent, level + 1);
-                    escape_str(key, out);
-                    out.push(':');
-                    if indent.is_some() {
-                        out.push(' ');
-                    }
-                    value.write(out, indent, level + 1, canonical);
+                    Self::write_members(out, members, indent, level, canonical);
                 }
                 Self::newline_indent(out, indent, level);
                 out.push('}');
             }
+        }
+    }
+
+    fn write_members<'a>(
+        out: &mut String,
+        members: impl Iterator<Item = (&'a str, &'a Json)>,
+        indent: Option<usize>,
+        level: usize,
+        canonical: bool,
+    ) {
+        for (i, (key, value)) in members.enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            Self::newline_indent(out, indent, level + 1);
+            escape_str(key, out);
+            out.push(':');
+            if indent.is_some() {
+                out.push(' ');
+            }
+            value.write(out, indent, level + 1, canonical);
         }
     }
 
@@ -256,22 +269,32 @@ impl Json {
 
 /// Appends the JSON-escaped, quoted form of `s` to `out`: `"` and `\` are
 /// backslash-escaped, control characters become `\n`/`\r`/`\t` or `\u00XX`.
+/// Runs of bytes that need no escape are copied whole, so a string with
+/// nothing to escape is one copy.
 pub fn escape_str(s: &str, out: &mut String) {
     out.reserve(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    // Every byte that needs an escape is ASCII, so `plain..i` always falls
+    // on char boundaries.
+    let mut plain = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
+        }
+        out.push_str(&s[plain..i]);
+        plain = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[plain..]);
     out.push('"');
 }
 
@@ -282,21 +305,29 @@ pub fn quote(s: &str) -> String {
     out
 }
 
-/// Canonical float formatting for JSON output and cache keys.
+/// Canonical float formatting for JSON output and cache keys, appended to
+/// `out`.
 ///
 /// * Finite values use Rust's shortest round-trip decimal form.
 /// * `-0.0` collapses to `0`, so it keys and serializes identically to `0.0`.
 /// * Non-finite values (`NaN`, `±inf`) have no JSON representation and
 ///   become `null` — they never leak as bare tokens.
-pub fn fmt_f64(v: f64) -> String {
+pub fn write_f64(v: f64, out: &mut String) {
     if !v.is_finite() {
-        return "null".to_string();
+        out.push_str("null");
+    } else if v == 0.0 {
+        out.push('0');
+    } else {
+        // memsense-lint: allow(no-raw-float-format) — this IS the canonical formatter every wire path must route through
+        let _ = write!(out, "{v}");
     }
-    if v == 0.0 {
-        return "0".to_string();
-    }
-    // memsense-lint: allow(no-raw-float-format) — this IS the canonical formatter every wire path must route through
-    format!("{v}")
+}
+
+/// [`write_f64`] into a new string.
+pub fn fmt_f64(v: f64) -> String {
+    let mut out = String::new();
+    write_f64(v, &mut out);
+    out
 }
 
 struct Parser<'a> {
@@ -556,6 +587,171 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The canonical writer without its fast paths: every object through a
+    /// `BTreeMap` (last duplicate wins), every string escaped char by char.
+    /// The properties below pin the real writer to it.
+    fn reference_canonical(v: &Json, out: &mut String) {
+        match v {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(v) if !v.is_finite() => out.push_str("null"),
+            Json::Num(v) if *v == 0.0 => out.push('0'),
+            Json::Num(v) => out.push_str(&format!("{v}")),
+            Json::Str(s) => reference_escape(s, out),
+            Json::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    reference_canonical(item, out);
+                }
+                out.push(']');
+            }
+            Json::Obj(pairs) => {
+                let sorted: BTreeMap<&String, &Json> = pairs.iter().map(|(k, v)| (k, v)).collect();
+                out.push('{');
+                for (i, (key, value)) in sorted.into_iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    reference_escape(key, out);
+                    out.push(':');
+                    reference_canonical(value, out);
+                }
+                out.push('}');
+            }
+        }
+    }
+
+    fn reference_escape(s: &str, out: &mut String) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    /// Characters that exercise every escape branch and multi-byte UTF-8.
+    const ALPHABET: [char; 14] = [
+        'a', 'Z', '0', ' ', '/', '"', '\\', '\n', '\r', '\t', '\u{1}', '\u{1f}', 'é', '😀',
+    ];
+
+    /// Few distinct keys, so objects often repeat one.
+    const KEYS: [&str; 7] = ["", "a", "ab", "b", "B", "k\"ey", "é"];
+
+    fn arb_string(rng: &mut TestRng) -> String {
+        let len = rng.below(12) as usize;
+        (0..len)
+            .map(|_| ALPHABET[rng.below(ALPHABET.len() as u64) as usize])
+            .collect()
+    }
+
+    fn arb_number(rng: &mut TestRng) -> f64 {
+        match rng.below(6) {
+            0 => [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY][rng.below(5) as usize],
+            1 => [f64::MAX, f64::MIN_POSITIVE, 5e-324, 1e21, 0.1 + 0.2][rng.below(5) as usize],
+            2 => rng.below(1000) as f64 - 500.0,
+            3 => f64::from_bits(rng.next_u64()),
+            _ => (rng.next_f64() - 0.5) * 1e6,
+        }
+    }
+
+    /// An arbitrary tree of bounded depth. Objects come in three shapes:
+    /// keys strictly ascending (the fast path), keys in drawn order, and
+    /// keys drawn from a small set (so repeats are common).
+    fn arb_json(rng: &mut TestRng, depth: u32) -> Json {
+        let kinds = if depth == 0 { 4 } else { 6 };
+        match rng.below(kinds) {
+            0 => Json::Null,
+            1 => Json::Bool(rng.below(2) == 1),
+            2 => Json::Num(arb_number(rng)),
+            3 => Json::Str(arb_string(rng)),
+            4 => Json::Arr(
+                (0..rng.below(5))
+                    .map(|_| arb_json(rng, depth - 1))
+                    .collect(),
+            ),
+            _ => {
+                let mut pairs: Vec<(String, Json)> = (0..rng.below(6))
+                    .map(|_| {
+                        let key = if rng.below(2) == 0 {
+                            KEYS[rng.below(KEYS.len() as u64) as usize].to_string()
+                        } else {
+                            arb_string(rng)
+                        };
+                        (key, arb_json(rng, depth - 1))
+                    })
+                    .collect();
+                if rng.below(2) == 0 {
+                    pairs.sort_by(|a, b| a.0.cmp(&b.0));
+                    pairs.dedup_by(|a, b| a.0 == b.0);
+                }
+                Json::Obj(pairs)
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Canonical output parses back to a tree with the same canonical
+        /// form; splicing stored canonical strings into a larger canonical
+        /// document relies on it.
+        #[test]
+        fn canonical_is_a_parse_fixed_point(seed in 0u64..u64::MAX) {
+            let value = arb_json(&mut TestRng::new(seed), 4);
+            let text = value.canonical();
+            let reparsed = Json::parse(&text);
+            prop_assert!(reparsed.is_ok(), "{text:?} does not parse: {reparsed:?}");
+            prop_assert_eq!(reparsed.unwrap().canonical(), text);
+        }
+
+        /// The canonical writer, sorted-keys fast path included, equals the
+        /// all-`BTreeMap` reference, repeated keys and `-0.0` included.
+        #[test]
+        fn canonical_matches_the_btreemap_reference(seed in 0u64..u64::MAX) {
+            let value = arb_json(&mut TestRng::new(seed), 4);
+            let mut expected = String::new();
+            reference_canonical(&value, &mut expected);
+            prop_assert_eq!(value.canonical(), expected);
+        }
+
+        /// Run-copying `escape_str` equals the char-by-char walk.
+        #[test]
+        fn escape_matches_the_char_walk(seed in 0u64..u64::MAX) {
+            let s = arb_string(&mut TestRng::new(seed));
+            let mut expected = String::new();
+            reference_escape(&s, &mut expected);
+            prop_assert_eq!(quote(&s), expected);
+        }
+    }
+
+    #[test]
+    fn repeated_keys_keep_the_last_value_and_zero_loses_its_sign() {
+        let v = Json::Obj(vec![
+            ("b".into(), Json::Num(1.0)),
+            ("a".into(), Json::Num(-0.0)),
+            ("b".into(), Json::Num(2.0)),
+        ]);
+        assert_eq!(v.canonical(), r#"{"a":0,"b":2}"#);
+        // Ascending but repeated: not strictly ascending, so still sorted.
+        let v = Json::Obj(vec![
+            ("a".into(), Json::Num(1.0)),
+            ("a".into(), Json::Num(2.0)),
+        ]);
+        assert_eq!(v.canonical(), r#"{"a":2}"#);
+    }
 
     #[test]
     fn escape_covers_quotes_backslashes_and_control_chars() {

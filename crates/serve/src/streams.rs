@@ -53,7 +53,7 @@ pub struct StreamSnapshot {
     pub deltas: u64,
     /// Cells re-solved (including opening full solves).
     pub cells_resolved: u64,
-    /// Cells the dependency index skipped.
+    /// Cells the sessions did not need to re-solve.
     pub cells_skipped: u64,
 }
 

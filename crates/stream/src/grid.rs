@@ -16,6 +16,7 @@
 //! therefore compare — and render — byte-identically.
 
 use std::cmp::Ordering;
+use std::ops::Range;
 
 use memsense_experiments::json::Json;
 use memsense_model::queueing::QueueingCurve;
@@ -180,20 +181,33 @@ impl GridSpec {
     /// Every cell key of the grid, in deterministic (workload, bandwidth,
     /// latency) order.
     pub fn cell_keys(&self) -> Vec<CellKey> {
-        let mut keys = Vec::with_capacity(self.cell_count());
-        for workload in 0..self.workloads.len() {
-            for &bw in &self.bandwidth_deltas {
-                for &lat in &self.latency_steps_ns {
-                    keys.push(CellKey {
-                        workload,
-                        bandwidth_delta: Ordered::wrap(bw),
-                        latency_step: Ordered::wrap(lat),
-                    });
-                }
-            }
-        }
-        keys
+        cross_keys(
+            0..self.workloads.len(),
+            &self.bandwidth_deltas,
+            &self.latency_steps_ns,
+        )
+        .collect()
     }
+}
+
+/// The keys of the cross product `workloads × bandwidth × latency`, in key
+/// order when both axes are sorted. A grid is always a full cross product,
+/// so the cells any one parameter touches are such a product with that
+/// parameter's axis narrowed to the one point: a workload's cells are
+/// `w..w + 1 × bandwidth × latency`, a bandwidth point's cells are
+/// `all workloads × [point] × latency`, and so on.
+pub fn cross_keys<'a>(
+    workloads: Range<usize>,
+    bandwidth: &'a [f64],
+    latency: &'a [f64],
+) -> impl Iterator<Item = CellKey> + 'a {
+    workloads.flat_map(move |workload| {
+        bandwidth.iter().flat_map(move |&bw| {
+            latency
+                .iter()
+                .map(move |&lat| CellKey::new(workload, bw, lat))
+        })
+    })
 }
 
 /// Checks a spec against [`MAX_GRID_CELLS`]. Run on every spec entering a
@@ -267,15 +281,17 @@ impl CellKey {
         }
     }
 
-    /// The cell identity as a JSON object (used for `removed` lists).
+    /// The cell identity as a JSON object (used for `removed` lists). The
+    /// keys are listed in canonical order, so `canonical()` takes its
+    /// sorted-keys fast path.
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
-            ("workload_index", Json::num(self.workload as f64)),
             (
                 "bandwidth_delta_gbps",
                 Json::num(self.bandwidth_delta.value()),
             ),
             ("latency_step_ns", Json::num(self.latency_step.value())),
+            ("workload_index", Json::num(self.workload as f64)),
         ])
     }
 }
@@ -319,30 +335,32 @@ pub fn solve_cell(
     })
 }
 
-/// Renders one cell (identity + solved value + weighted CPI) as JSON.
+/// Renders one cell (identity + solved value + weighted CPI) as JSON. The
+/// keys are listed in canonical (bytewise) order, so `canonical()` — the
+/// only form a cell is rendered in — takes its sorted-keys fast path.
 pub fn cell_json(spec: &GridSpec, key: CellKey, state: &CellState) -> Json {
     let entry = &spec.workloads[key.workload];
     Json::obj(vec![
-        ("workload", Json::str(&entry.workload.name)),
-        ("workload_index", Json::num(key.workload as f64)),
         (
             "bandwidth_delta_gbps",
             Json::num(key.bandwidth_delta.value()),
         ),
-        ("latency_step_ns", Json::num(key.latency_step.value())),
         (
             "bandwidth_per_core_gbps",
             Json::num(state.bandwidth_per_core),
         ),
-        ("unloaded_latency_ns", Json::num(state.unloaded_latency_ns)),
         ("cpi", Json::num(state.solved.cpi_eff)),
-        ("utilization", Json::num(state.solved.utilization)),
+        ("latency_step_ns", Json::num(key.latency_step.value())),
         ("regime", Json::str(state.solved.regime.token())),
+        ("unloaded_latency_ns", Json::num(state.unloaded_latency_ns)),
+        ("utilization", Json::num(state.solved.utilization)),
         ("weight", Json::num(entry.weight)),
         (
             "weighted_cpi",
             Json::num(entry.weight * state.solved.cpi_eff),
         ),
+        ("workload", Json::str(&entry.workload.name)),
+        ("workload_index", Json::num(key.workload as f64)),
     ])
 }
 
@@ -455,6 +473,40 @@ mod tests {
         )
         .unwrap();
         assert_eq!(spec.cell_count(), MAX_GRID_CELLS);
+    }
+
+    #[test]
+    fn renders_list_their_keys_in_canonical_order() {
+        let spec = GridSpec::default_grid();
+        let key = CellKey::new(2, -1.5, 30.0);
+        let state = solve_cell(&spec, key, &QueueingCurve::composite_default()).unwrap();
+        for json in [cell_json(&spec, key, &state), key.to_json()] {
+            let Json::Obj(pairs) = &json else {
+                panic!("renders are objects")
+            };
+            assert!(
+                pairs.windows(2).all(|w| w[0].0 < w[1].0),
+                "keys not strictly ascending: {}",
+                json.to_string()
+            );
+        }
+    }
+
+    #[test]
+    fn cross_keys_narrow_one_axis_to_one_point() {
+        let spec = GridSpec::default_grid();
+        let all: Vec<CellKey> = spec.cell_keys();
+        let row: Vec<CellKey> = cross_keys(0..3, &[-1.5], &spec.latency_steps_ns).collect();
+        let expected: Vec<CellKey> = all
+            .iter()
+            .copied()
+            .filter(|k| k.bandwidth_delta.value() == -1.5)
+            .collect();
+        assert_eq!(row, expected);
+        let workload: Vec<CellKey> =
+            cross_keys(1..2, &spec.bandwidth_deltas, &spec.latency_steps_ns).collect();
+        assert_eq!(workload.len(), 56);
+        assert!(workload.iter().all(|k| k.workload == 1));
     }
 
     #[test]

@@ -5,14 +5,15 @@
 //! production "what-if" service sees the opposite access pattern: a stream
 //! of small deltas against a mostly-stable model state. This crate makes
 //! that incremental: a [`session::Session`] holds a materialized sweep
-//! grid ([`grid::GridSpec`]) plus a **dependency index** mapping each
-//! tunable parameter (a bandwidth point, a latency point, one workload's
-//! mix weight, the hardware config) to the set of grid cells it
-//! influences. Clients submit [`session::Delta`] ops; the session batches
-//! them by a logical/physical batching knob and applies each batch by
-//! re-solving only the dirty cells through `executor::par_map`, emitting a
-//! per-batch [`session::Update`] record — changed cells only, canonical
-//! JSON, monotone sequence numbers.
+//! grid ([`grid::GridSpec`]). The grid is always a full cross product, so
+//! **dirty cells are derived from the axes**: a tunable parameter (a
+//! bandwidth point, a latency point, one workload's mix weight, the
+//! hardware config) influences exactly the product with its own axis
+//! narrowed to it ([`grid::cross_keys`]). Clients submit
+//! [`session::Delta`] ops; the session batches them by a logical/physical
+//! batching knob and applies each batch by re-solving only the dirty cells
+//! through `executor::par_map`, emitting a per-batch [`session::Update`]
+//! record — changed cells only, canonical JSON, monotone sequence numbers.
 //!
 //! The contract that makes incremental trustworthy: after any delta
 //! sequence, the session state is **byte-identical** to a from-scratch

@@ -1,8 +1,7 @@
 //! Delta-solve sessions: batched incremental evaluation over a grid.
 //!
 //! A [`Session`] owns one validated [`GridSpec`], the solved state of every
-//! cell, and a **dependency index** from each tunable parameter
-//! ([`ParamKey`]) to the cells it influences. Submitted [`Delta`] ops
+//! cell, and each cell's canonical JSON render. Submitted [`Delta`] ops
 //! accumulate in a pending buffer until the batching knob fires (or an
 //! explicit [`Delta::Flush`] arrives); a batch is applied by classifying
 //! every touched cell as *re-solve* (solver inputs moved), *revalue*
@@ -10,6 +9,16 @@
 //! only the first class through `executor::par_map`, and emitting one
 //! [`Update`] per batch carrying the cells whose canonical rendering
 //! actually changed.
+//!
+//! **Dirty cells are derived from the axes.** A grid is always the full
+//! cross product of its workload mix and its two axes, so the cells one op
+//! touches are that product with one axis narrowed to the op's point
+//! ([`cross_keys`]): a weight touches its workload's cells, an axis point
+//! the cells on that point, `SetSystem` every cell. No index is kept.
+//!
+//! Each cell is rendered once per change: the render is stored, compared
+//! with the previous one to decide whether the cell changed, and spliced
+//! as-is into the update body.
 //!
 //! Batch application is **transactional**: all mutation happens on scratch
 //! copies and commits only if every dirty cell solves. On failure the
@@ -19,13 +28,13 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use memsense_experiments::executor;
-use memsense_experiments::json::Json;
+use memsense_experiments::json::{write_f64, Json};
 use memsense_model::queueing::QueueingCurve;
 use memsense_model::system::SystemConfig;
 
 use crate::grid::{
-    cell_json, check_cell_cap, check_weight, normalize_axis_value, solve_cell, system_json,
-    CellKey, CellState, GridSpec, MAX_AXIS_POINTS,
+    cell_json, check_cell_cap, check_weight, cross_keys, normalize_axis_value, solve_cell,
+    system_json, CellKey, CellState, GridSpec, MAX_AXIS_POINTS,
 };
 use crate::StreamError;
 
@@ -60,26 +69,13 @@ pub enum Delta {
     Flush,
 }
 
-/// A tunable parameter, as the dependency index keys it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum ParamKey {
-    /// One workload of the mix (weight tweaks).
-    Workload(usize),
-    /// One bandwidth axis point.
-    Bandwidth(crate::grid::Ordered),
-    /// One latency axis point.
-    Latency(crate::grid::Ordered),
-    /// The hardware configuration (influences every cell).
-    System,
-}
-
 /// One per-batch output record: the canonical JSON body plus its sequence
 /// number (also embedded in the body).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Update {
     /// Monotone per-session sequence number (0 = the opening full solve).
     pub seq: u64,
-    /// Canonical JSON: `{changed, cells_resolved, cells_skipped, deltas,
+    /// Canonical JSON: `{cells_resolved, cells_skipped, changed, deltas,
     /// grid_cells, removed, seq}`.
     pub body: String,
 }
@@ -95,7 +91,7 @@ pub struct SubmitAck {
     pub applied_deltas: u64,
     /// Cells re-solved across those batches.
     pub cells_resolved: u64,
-    /// Cells the dependency index let those batches skip.
+    /// Cells those batches did not need to re-solve.
     pub cells_skipped: u64,
     /// Ops still pending (below the batching knob) after the call.
     pub pending: usize,
@@ -130,14 +126,12 @@ impl From<SubmitError> for StreamError {
     }
 }
 
-type DepIndex = BTreeMap<ParamKey, BTreeSet<CellKey>>;
-
 /// A sessionful incremental sweep evaluation (see module docs).
 #[derive(Debug)]
 pub struct Session {
     spec: GridSpec,
     cells: BTreeMap<CellKey, CellState>,
-    deps: DepIndex,
+    /// Each cell's canonical render, kept in step with `cells`.
     rendered: BTreeMap<CellKey, String>,
     curve: QueueingCurve,
     batch: usize,
@@ -150,9 +144,9 @@ pub struct Session {
 }
 
 impl Session {
-    /// Opens a session: solves the full grid once (the seq-0 update) and
-    /// builds the dependency index. `batch` is the batching knob: pending
-    /// deltas apply once at least that many have accumulated.
+    /// Opens a session: solves and renders the full grid once (the seq-0
+    /// update). `batch` is the batching knob: pending deltas apply once at
+    /// least that many have accumulated.
     ///
     /// # Errors
     ///
@@ -169,10 +163,8 @@ impl Session {
         })?;
 
         let mut cells = BTreeMap::new();
-        let mut deps: DepIndex = BTreeMap::new();
         let mut rendered = BTreeMap::new();
         for (key, state) in keys.iter().copied().zip(states) {
-            index_cell(&mut deps, key);
             rendered.insert(key, cell_json(&spec, key, &state).canonical());
             cells.insert(key, state);
         }
@@ -181,7 +173,6 @@ impl Session {
         let mut session = Session {
             spec,
             cells,
-            deps,
             rendered,
             curve,
             batch,
@@ -247,7 +238,6 @@ impl Session {
         // All mutation below happens on scratch copies; `self` commits only
         // after every dirty cell has solved.
         let mut spec = self.spec.clone();
-        let mut deps = self.deps.clone();
         let mut need_solve: BTreeSet<CellKey> = BTreeSet::new();
         let mut revalued: BTreeSet<CellKey> = BTreeSet::new();
         let mut removed: BTreeSet<CellKey> = BTreeSet::new();
@@ -258,7 +248,6 @@ impl Session {
                     Axis::Bandwidth,
                     *v,
                     &mut spec,
-                    &mut deps,
                     &mut need_solve,
                     &mut removed,
                 )?,
@@ -266,24 +255,17 @@ impl Session {
                     Axis::Bandwidth,
                     *v,
                     &mut spec,
-                    &mut deps,
                     &mut need_solve,
                     &mut revalued,
                     &mut removed,
                 )?,
-                Delta::AddLatency(v) => add_axis_point(
-                    Axis::Latency,
-                    *v,
-                    &mut spec,
-                    &mut deps,
-                    &mut need_solve,
-                    &mut removed,
-                )?,
+                Delta::AddLatency(v) => {
+                    add_axis_point(Axis::Latency, *v, &mut spec, &mut need_solve, &mut removed)?
+                }
                 Delta::RemoveLatency(v) => remove_axis_point(
                     Axis::Latency,
                     *v,
                     &mut spec,
-                    &mut deps,
                     &mut need_solve,
                     &mut revalued,
                     &mut removed,
@@ -296,19 +278,19 @@ impl Session {
                     let weight = *weight + 0.0;
                     if entry.weight.to_bits() != weight.to_bits() {
                         entry.weight = weight;
-                        // Weight is render-only: touched cells revalue, no
-                        // re-solve — this is the dependency index's payoff.
-                        if let Some(touched) = deps.get(&ParamKey::Workload(*workload)) {
-                            revalued.extend(touched.iter().copied());
-                        }
+                        // Weight is render-only: the workload's cells
+                        // revalue, none re-solves.
+                        revalued.extend(cross_keys(
+                            *workload..*workload + 1,
+                            &spec.bandwidth_deltas,
+                            &spec.latency_steps_ns,
+                        ));
                     }
                 }
                 Delta::SetSystem(system) => {
                     if spec.system != *system {
                         spec.system = system.clone();
-                        if let Some(touched) = deps.get(&ParamKey::System) {
-                            need_solve.extend(touched.iter().copied());
-                        }
+                        need_solve.extend(spec.cell_keys());
                     }
                 }
                 // Flush never enters the pending buffer.
@@ -337,7 +319,6 @@ impl Session {
 
         // Commit.
         self.spec = spec;
-        self.deps = deps;
         for key in &removed {
             self.cells.remove(key);
             self.rendered.remove(key);
@@ -372,6 +353,10 @@ impl Session {
         Ok(())
     }
 
+    /// Emits one update. The body is canonical JSON written directly, keys
+    /// in bytewise order, with each changed cell's stored canonical render
+    /// spliced in as-is (a canonical document re-canonicalizes to itself,
+    /// so this equals rendering the whole body as one tree).
     fn emit_update(
         &mut self,
         changed: &[CellKey],
@@ -382,21 +367,26 @@ impl Session {
     ) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let changed_json: Vec<Json> = changed
+        let changed: Vec<&str> = changed
             .iter()
-            .filter_map(|key| self.rendered.get(key).and_then(|s| Json::parse(s).ok()))
+            .filter_map(|key| self.rendered.get(key).map(String::as_str))
             .collect();
-        let removed_json: Vec<Json> = removed.iter().map(CellKey::to_json).collect();
-        let body = Json::obj(vec![
-            ("changed", Json::Arr(changed_json)),
-            ("cells_resolved", Json::num(resolved as f64)),
-            ("cells_skipped", Json::num(skipped as f64)),
-            ("deltas", Json::num(deltas as f64)),
-            ("grid_cells", Json::num(self.cells.len() as f64)),
-            ("removed", Json::Arr(removed_json)),
-            ("seq", Json::num(seq as f64)),
-        ])
-        .canonical();
+        let removed: Vec<String> = removed
+            .iter()
+            .map(|key| key.to_json().canonical())
+            .collect();
+        let capacity = changed.iter().map(|s| s.len() + 1).sum::<usize>()
+            + removed.iter().map(|s| s.len() + 1).sum::<usize>()
+            + 128;
+        let mut body = String::with_capacity(capacity);
+        push_count(&mut body, "{\"cells_resolved\":", resolved);
+        push_count(&mut body, ",\"cells_skipped\":", skipped);
+        push_array(&mut body, ",\"changed\":", &changed);
+        push_count(&mut body, ",\"deltas\":", deltas);
+        push_count(&mut body, ",\"grid_cells\":", self.cells.len() as u64);
+        push_array(&mut body, ",\"removed\":", &removed);
+        push_count(&mut body, ",\"seq\":", seq);
+        body.push('}');
         if self.updates.len() == MAX_BUFFERED_UPDATES {
             self.updates.pop_front();
         }
@@ -489,45 +479,35 @@ impl Session {
     }
 }
 
+#[derive(Clone, Copy)]
 enum Axis {
     Bandwidth,
     Latency,
 }
 
-fn index_cell(deps: &mut DepIndex, key: CellKey) {
-    deps.entry(ParamKey::Workload(key.workload))
-        .or_default()
-        .insert(key);
-    deps.entry(ParamKey::Bandwidth(key.bandwidth_delta))
-        .or_default()
-        .insert(key);
-    deps.entry(ParamKey::Latency(key.latency_step))
-        .or_default()
-        .insert(key);
-    deps.entry(ParamKey::System).or_default().insert(key);
+/// Appends `prefix` and a count as a canonical JSON number.
+fn push_count(body: &mut String, prefix: &str, count: u64) {
+    body.push_str(prefix);
+    write_f64(count as f64, body);
 }
 
-fn unindex_cell(deps: &mut DepIndex, key: CellKey) {
-    for param in [
-        ParamKey::Workload(key.workload),
-        ParamKey::Bandwidth(key.bandwidth_delta),
-        ParamKey::Latency(key.latency_step),
-        ParamKey::System,
-    ] {
-        if let Some(set) = deps.get_mut(&param) {
-            set.remove(&key);
-            if set.is_empty() {
-                deps.remove(&param);
-            }
+/// Appends `prefix` and a JSON array of already-rendered items.
+fn push_array(body: &mut String, prefix: &str, items: &[impl AsRef<str>]) {
+    body.push_str(prefix);
+    body.push('[');
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            body.push(',');
         }
+        body.push_str(item.as_ref());
     }
+    body.push(']');
 }
 
 fn add_axis_point(
     axis: Axis,
     value: f64,
     spec: &mut GridSpec,
-    deps: &mut DepIndex,
     need_solve: &mut BTreeSet<CellKey>,
     removed: &mut BTreeSet<CellKey>,
 ) -> Result<(), StreamError> {
@@ -549,45 +529,25 @@ fn add_axis_point(
     // error here rolls the whole batch back.
     check_cell_cap(spec)?;
 
-    let (bws, lats) = (&spec.bandwidth_deltas, &spec.latency_steps_ns);
-    for workload in 0..spec.workloads.len() {
-        let cross: &[f64] = match axis {
-            Axis::Bandwidth => lats,
-            Axis::Latency => bws,
-        };
-        for &other in cross {
-            let key = match axis {
-                Axis::Bandwidth => CellKey::new(workload, value, other),
-                Axis::Latency => CellKey::new(workload, other, value),
-            };
-            index_cell(deps, key);
-            removed.remove(&key);
-            need_solve.insert(key);
-        }
+    for key in point_cells(axis, &value, spec) {
+        removed.remove(&key);
+        need_solve.insert(key);
     }
     Ok(())
 }
 
-#[allow(clippy::too_many_arguments)]
 fn remove_axis_point(
     axis: Axis,
     value: f64,
     spec: &mut GridSpec,
-    deps: &mut DepIndex,
     need_solve: &mut BTreeSet<CellKey>,
     revalued: &mut BTreeSet<CellKey>,
     removed: &mut BTreeSet<CellKey>,
 ) -> Result<(), StreamError> {
     let value = normalize_axis_value(value)?;
-    let (points, param) = match axis {
-        Axis::Bandwidth => (
-            &mut spec.bandwidth_deltas,
-            ParamKey::Bandwidth(crate::grid::Ordered::wrap(value)),
-        ),
-        Axis::Latency => (
-            &mut spec.latency_steps_ns,
-            ParamKey::Latency(crate::grid::Ordered::wrap(value)),
-        ),
+    let points = match axis {
+        Axis::Bandwidth => &mut spec.bandwidth_deltas,
+        Axis::Latency => &mut spec.latency_steps_ns,
     };
     let Some(pos) = points.iter().position(|p| p.to_bits() == value.to_bits()) else {
         return Err(StreamError::invalid("axis point not in the grid"));
@@ -597,17 +557,27 @@ fn remove_axis_point(
     }
     points.remove(pos);
 
-    let touched: Vec<CellKey> = deps
-        .get(&param)
-        .map(|set| set.iter().copied().collect())
-        .unwrap_or_default();
-    for key in touched {
-        unindex_cell(deps, key);
+    for key in point_cells(axis, &value, spec) {
         need_solve.remove(&key);
         revalued.remove(&key);
         removed.insert(key);
     }
     Ok(())
+}
+
+/// The cells on one axis point: every workload, the point itself, and every
+/// point of the other axis.
+fn point_cells<'a>(
+    axis: Axis,
+    value: &'a f64,
+    spec: &'a GridSpec,
+) -> impl Iterator<Item = CellKey> + 'a {
+    let point = std::slice::from_ref(value);
+    let workloads = 0..spec.workloads.len();
+    match axis {
+        Axis::Bandwidth => cross_keys(workloads, point, &spec.latency_steps_ns),
+        Axis::Latency => cross_keys(workloads, &spec.bandwidth_deltas, point),
+    }
 }
 
 #[cfg(test)]
@@ -641,6 +611,8 @@ mod tests {
         assert_eq!(updates.len(), 1);
         assert_eq!(updates[0].seq, 0);
         let body = Json::parse(&updates[0].body).unwrap();
+        // The spliced body is canonical: it re-canonicalizes to itself.
+        assert_eq!(body.canonical(), updates[0].body);
         assert_eq!(body.get("cells_resolved").and_then(Json::as_u64), Some(8));
         assert_eq!(body.get("cells_skipped").and_then(Json::as_u64), Some(0));
         assert_eq!(
@@ -739,6 +711,7 @@ mod tests {
         session.submit(&[Delta::RemoveBandwidth(-1.0)]).unwrap();
         let updates = session.take_updates();
         let body = Json::parse(&updates[0].body).unwrap();
+        assert_eq!(body.canonical(), updates[0].body);
         // 2 workloads × the removed bandwidth point × 2 latency steps.
         assert_eq!(
             body.get("removed")
@@ -798,14 +771,12 @@ mod tests {
             SystemConfig::paper_baseline(),
         )
         .unwrap();
-        let mut deps = DepIndex::new();
         let mut need_solve = BTreeSet::new();
         let mut removed = BTreeSet::new();
         let err = add_axis_point(
             Axis::Bandwidth,
             -1.0,
             &mut spec,
-            &mut deps,
             &mut need_solve,
             &mut removed,
         )
