@@ -13,7 +13,6 @@
 use std::collections::VecDeque;
 use std::time::Instant;
 
-use memsense_experiments::executor;
 use memsense_experiments::json::Json;
 use memsense_experiments::render::{f, Table};
 use memsense_model::system::SystemConfig;
@@ -158,9 +157,6 @@ pub fn measure(deltas: usize, repeats: usize) -> Result<Baseline, String> {
         .submit(&[Delta::AddBandwidth(0.25)])
         .map_err(|e| format!("probe: {e}"))?;
     let fraction = ack.cells_resolved as f64 / session.grid_cells().max(1) as f64;
-    // The executor's job log is process-global; drain it so it stays
-    // bounded.
-    let _ = executor::drain_job_log();
 
     let mut metrics = vec![Metric {
         bound: Some(MAX_SINGLE_POINT_FRACTION),

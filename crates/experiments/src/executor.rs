@@ -21,14 +21,19 @@
 //! (`1` forces fully serial execution; unset or `0` means "all available
 //! cores"), read once per process.
 //!
-//! Telemetry: each job's label, wall-clock time, and outcome land in a
-//! process-wide job log that [`RunReport::from_run`] converts — together
-//! with the solver's iteration/regime counters — into the `--report`
-//! table/JSON emitted by the `repro` binary.
+//! Telemetry: a caller that wants per-job records wraps its work in
+//! [`record_jobs`], which collects the label, wall-clock time, and outcome
+//! of every job dispatched inside it, nested [`par_map`] calls included, on
+//! any thread. Jobs run outside such a scope record nothing. `repro` wraps
+//! each stage this way and [`RunReport::from_run`] turns the per-stage
+//! records — together with the solver's iteration/regime counters — into
+//! the `--report` table/JSON.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex, OnceLock};
+use std::sync::mpsc::{self, Sender};
+use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use memsense_model::solver::telemetry::SolverStats;
@@ -106,7 +111,7 @@ fn release_permits(n: usize) {
 }
 
 // ---------------------------------------------------------------------------
-// Job log
+// Job recording
 // ---------------------------------------------------------------------------
 
 /// One completed job: its label, wall-clock time, and outcome.
@@ -120,23 +125,29 @@ pub struct JobRecord {
     pub ok: bool,
 }
 
-fn job_log() -> &'static Mutex<Vec<JobRecord>> {
-    static LOG: OnceLock<Mutex<Vec<JobRecord>>> = OnceLock::new();
-    LOG.get_or_init(|| Mutex::new(Vec::new()))
+thread_local! {
+    /// Where this thread's jobs send their records; `None` outside any
+    /// [`record_jobs`] scope.
+    static SINK: RefCell<Option<Sender<JobRecord>>> = const { RefCell::new(None) };
 }
 
-/// Takes every job record accumulated since the last drain.
+/// Runs `f` and returns its result together with a record of every job
+/// dispatched while it ran — on this thread or on any executor worker that
+/// ran on its behalf, however deeply nested — in completion order. A scope
+/// nested inside another takes its jobs for itself.
+pub fn record_jobs<R>(f: impl FnOnce() -> R) -> (R, Vec<JobRecord>) {
+    let (tx, rx) = mpsc::channel();
+    let outer = SINK.replace(Some(tx));
+    let result = f();
+    SINK.set(outer);
+    // Every worker sent its records before its `par_map_full` scope joined.
+    (result, rx.try_iter().collect())
+}
+
+/// Always empty: jobs are recorded only inside [`record_jobs`]. Kept only
+/// because the `membench` harness still calls it.
 pub fn drain_job_log() -> Vec<JobRecord> {
-    // memsense-lint: allow(no-panic-in-lib) — push/take cannot panic mid-hold, so the log lock cannot poison
-    std::mem::take(&mut *job_log().lock().expect("job log poisoned"))
-}
-
-fn log_job(label: String, wall: Duration, ok: bool) {
-    job_log()
-        .lock()
-        // memsense-lint: allow(no-panic-in-lib) — push/take cannot panic mid-hold, so the log lock cannot poison
-        .expect("job log poisoned")
-        .push(JobRecord { label, wall, ok });
+    Vec::new()
 }
 
 // ---------------------------------------------------------------------------
@@ -144,8 +155,9 @@ fn log_job(label: String, wall: Duration, ok: bool) {
 // ---------------------------------------------------------------------------
 
 /// Runs `f` over `items` on the worker pool and returns every outcome in
-/// submission order. `label` names each job (for the run report); it is not
-/// used for scheduling.
+/// submission order. `label` names each job for an enclosing
+/// [`record_jobs`] scope and is called only inside one; it is not used for
+/// scheduling.
 ///
 /// Jobs are pulled from a shared queue by idle workers (the calling thread
 /// included), so long jobs don't convoy behind a static partition. Results
@@ -168,14 +180,25 @@ where
     let queue: Mutex<VecDeque<(usize, I)>> = Mutex::new(items.into_iter().enumerate().collect());
     let mut slots: Vec<Option<Result<T, E>>> = (0..n).map(|_| None).collect();
 
-    let work = |tx: &mpsc::Sender<(usize, Result<T, E>)>| loop {
+    // Workers report to the caller's recording scope, if any, and inherit
+    // it so that jobs nested inside `f` report there too.
+    let sink = SINK.with_borrow(Option::clone);
+    let work = |tx: &Sender<(usize, Result<T, E>)>| loop {
         // memsense-lint: allow(no-panic-in-lib) — pop_front cannot panic mid-hold, so the queue lock cannot poison
         let job = queue.lock().expect("job queue poisoned").pop_front();
         let Some((index, item)) = job else { break };
-        let label = label(index, &item);
-        let started = Instant::now();
+        let timed = sink
+            .as_ref()
+            .map(|sink| (sink, label(index, &item), Instant::now()));
         let result = f(item);
-        log_job(label, started.elapsed(), result.is_ok());
+        if let Some((sink, label, started)) = timed {
+            // A scope that already returned has nothing left to record.
+            let _ = sink.send(JobRecord {
+                label,
+                wall: started.elapsed(),
+                ok: result.is_ok(),
+            });
+        }
         // Receiver outlives all senders within the scope below.
         let _ = tx.send((index, result));
     };
@@ -184,8 +207,11 @@ where
     std::thread::scope(|scope| {
         for _ in 0..extra {
             let tx = tx.clone();
-            let work = &work;
-            scope.spawn(move || work(&tx));
+            let (work, sink) = (&work, &sink);
+            scope.spawn(move || {
+                SINK.set(sink.clone());
+                work(&tx);
+            });
         }
         // The calling thread is a worker too; with zero permits this is
         // exactly the serial execution path.
@@ -233,11 +259,15 @@ pub struct StageReport {
     pub name: String,
     /// Wall-clock time of the stage.
     pub wall: Duration,
-    /// Jobs the stage dispatched through the executor (excluding itself).
+    /// Jobs the stage dispatched through the executor, nested ones included.
     pub jobs: usize,
     /// Jobs (or the stage itself) that returned an error.
     pub failures: usize,
 }
+
+/// One stage as run: its name, wall-clock time, whether it succeeded, and
+/// the jobs [`record_jobs`] recorded for it.
+pub type StageRun = (String, Duration, bool, Vec<JobRecord>);
 
 /// The full run report behind `repro --report`.
 #[derive(Debug, Clone, PartialEq)]
@@ -248,50 +278,31 @@ pub struct RunReport {
     pub total_wall: Duration,
     /// Per-stage telemetry, in deterministic (submission) order.
     pub stages: Vec<StageReport>,
-    /// Every non-stage job, as logged (completion order).
+    /// Every job, grouped by stage in stage order.
     pub jobs: Vec<JobRecord>,
     /// Solver activity during the run (snapshot delta).
     pub solver: SolverStats,
 }
 
-/// Label prefix that marks a job record as a whole pipeline stage.
-pub const STAGE_LABEL_PREFIX: &str = "stage/";
-
 impl RunReport {
-    /// Builds a report from a drained job log. Records labelled
-    /// `stage/<name>` become [`StageReport`]s (ordered by `stage_order`);
-    /// inner jobs are attributed to a stage when their label starts with
-    /// `<name>/`.
+    /// Builds a report from the stages in the order they should be listed.
     pub fn from_run(
         threads: usize,
         total_wall: Duration,
-        log: Vec<JobRecord>,
-        stage_order: &[String],
+        runs: Vec<StageRun>,
         solver: SolverStats,
     ) -> RunReport {
-        let (stage_records, jobs): (Vec<JobRecord>, Vec<JobRecord>) = log
-            .into_iter()
-            .partition(|r| r.label.starts_with(STAGE_LABEL_PREFIX));
-        let stages = stage_order
-            .iter()
-            .map(|name| {
-                let record = stage_records
-                    .iter()
-                    .find(|r| r.label[STAGE_LABEL_PREFIX.len()..] == *name.as_str());
-                let prefix = format!("{name}/");
-                let inner: Vec<&JobRecord> = jobs
-                    .iter()
-                    .filter(|j| j.label.starts_with(&prefix))
-                    .collect();
-                StageReport {
-                    name: name.clone(),
-                    wall: record.map(|r| r.wall).unwrap_or_default(),
-                    jobs: inner.len(),
-                    failures: inner.iter().filter(|j| !j.ok).count()
-                        + usize::from(record.is_some_and(|r| !r.ok)),
-                }
-            })
-            .collect();
+        let mut stages = Vec::with_capacity(runs.len());
+        let mut jobs = Vec::new();
+        for (name, wall, ok, records) in runs {
+            stages.push(StageReport {
+                name,
+                wall,
+                jobs: records.len(),
+                failures: records.iter().filter(|j| !j.ok).count() + usize::from(!ok),
+            });
+            jobs.extend(records);
+        }
         RunReport {
             threads,
             total_wall,
@@ -405,21 +416,9 @@ impl RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{MutexGuard, PoisonError};
-
-    /// Serializes the tests here that run jobs or drain the process-wide
-    /// job log, so one test's drain cannot swallow another's records.
-    /// Tests in other modules may still append concurrently, so assertions
-    /// look only at their own labels.
-    static JOB_LOG_TESTS: Mutex<()> = Mutex::new(());
-
-    fn lock_job_log() -> MutexGuard<'static, ()> {
-        JOB_LOG_TESTS.lock().unwrap_or_else(PoisonError::into_inner)
-    }
 
     #[test]
     fn par_map_preserves_submission_order() {
-        let _log = lock_job_log();
         // Jobs finish out of order (later jobs are quicker), but results
         // must come back in submission order.
         let items: Vec<u64> = (0..64).collect();
@@ -431,12 +430,10 @@ mod tests {
         })
         .unwrap();
         assert_eq!(out, items.iter().map(|i| i * 3).collect::<Vec<_>>());
-        drain_job_log();
     }
 
     #[test]
     fn par_map_returns_earliest_error() {
-        let _log = lock_job_log();
         let out: Result<Vec<u32>, String> = par_map("err", (0u32..32).collect(), |i| {
             if i == 5 || i == 20 {
                 Err(format!("boom {i}"))
@@ -445,29 +442,23 @@ mod tests {
             }
         });
         assert_eq!(out.unwrap_err(), "boom 5");
-        drain_job_log();
     }
 
     #[test]
     fn empty_input_yields_empty_output() {
-        let _log = lock_job_log();
         let out: Result<Vec<u32>, ()> = par_map("none", Vec::<u32>::new(), Ok);
         assert_eq!(out.unwrap(), Vec::<u32>::new());
     }
 
     #[test]
     fn job_log_records_labels_and_outcomes() {
-        let _log = lock_job_log();
-        drain_job_log();
-        let _ = par_map_full(
-            vec![1u32, 2],
-            |_, item| format!("logged/{item}"),
-            |i| if i == 2 { Err(()) } else { Ok(i) },
-        );
-        let mut log: Vec<JobRecord> = drain_job_log()
-            .into_iter()
-            .filter(|r| r.label.starts_with("logged/"))
-            .collect();
+        let (_, mut log) = record_jobs(|| {
+            par_map_full(
+                vec![1u32, 2],
+                |_, item| format!("logged/{item}"),
+                |i| if i == 2 { Err(()) } else { Ok(i) },
+            )
+        });
         log.sort_by(|a, b| a.label.cmp(&b.label));
         assert_eq!(log.len(), 2);
         assert_eq!(log[0].label, "logged/1");
@@ -477,8 +468,49 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_scopes_see_only_their_own_jobs() {
+        // An outer par_map whose jobs each run an inner par_map: the scope
+        // must collect the 4 outer and 4 × 3 inner records, whichever
+        // thread ran them.
+        fn outer_and_inner(tag: &str) -> Vec<String> {
+            let (_, log) = record_jobs(|| {
+                par_map(&format!("{tag}.outer"), (0u32..4).collect(), |i| {
+                    // Slow enough that spawned workers take outer jobs too.
+                    std::thread::sleep(Duration::from_millis(1));
+                    par_map(
+                        &format!("{tag}.inner{i}"),
+                        (0u32..3).collect(),
+                        Ok::<u32, ()>,
+                    )
+                })
+            });
+            let mut labels: Vec<String> = log.into_iter().map(|r| r.label).collect();
+            labels.sort();
+            labels
+        }
+        fn expected(tag: &str) -> Vec<String> {
+            let mut labels: Vec<String> = (0..4).map(|i| format!("{tag}.outer[{i}]")).collect();
+            for i in 0..4 {
+                labels.extend((0..3).map(|j| format!("{tag}.inner{i}[{j}]")));
+            }
+            labels.sort();
+            labels
+        }
+        for _ in 0..50 {
+            let (a, b) = std::thread::scope(|scope| {
+                let a = scope.spawn(|| outer_and_inner("a"));
+                let b = scope.spawn(|| outer_and_inner("b"));
+                // Unscoped jobs running alongside must land in neither.
+                let _: Vec<u32> = par_map("unscoped", (0u32..8).collect(), Ok::<u32, ()>).unwrap();
+                (a.join().unwrap(), b.join().unwrap())
+            });
+            assert_eq!(a, expected("a"));
+            assert_eq!(b, expected("b"));
+        }
+    }
+
+    #[test]
     fn nested_par_map_completes_and_is_ordered() {
-        let _log = lock_job_log();
         let out: Vec<Vec<u32>> = par_map("outer", (0u32..8).collect(), |i| {
             par_map("inner", (0u32..8).collect(), move |j| {
                 Ok::<u32, ()>(i * 10 + j)
@@ -489,12 +521,10 @@ mod tests {
             let want: Vec<u32> = (0..8).map(|j| i as u32 * 10 + j).collect();
             assert_eq!(inner, &want);
         }
-        drain_job_log();
     }
 
     #[test]
     fn permits_are_returned_after_use() {
-        let _log = lock_job_log();
         let before = permit_pool().load(Ordering::Relaxed);
         let _: Vec<u32> = par_map("permits", (0u32..32).collect(), Ok::<u32, ()>).unwrap();
         // Other tests run concurrently, so poll briefly for the pool to
@@ -506,52 +536,40 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         assert!(permit_pool().load(Ordering::Relaxed) >= before);
-        drain_job_log();
     }
 
     #[test]
     fn run_report_groups_stages_and_jobs() {
-        let log = vec![
-            JobRecord {
-                label: "stage/fig8".into(),
-                wall: Duration::from_millis(10),
-                ok: true,
-            },
-            JobRecord {
-                label: "fig8/Enterprise class".into(),
-                wall: Duration::from_millis(4),
-                ok: true,
-            },
-            JobRecord {
-                label: "fig8/HPC class".into(),
-                wall: Duration::from_millis(5),
-                ok: false,
-            },
-            JobRecord {
-                label: "stage/tab7".into(),
-                wall: Duration::from_millis(2),
-                ok: false,
-            },
+        let job = |label: &str, ms: u64, ok: bool| JobRecord {
+            label: label.into(),
+            wall: Duration::from_millis(ms),
+            ok,
+        };
+        let runs = vec![
+            (
+                "fig8".to_string(),
+                Duration::from_millis(10),
+                true,
+                vec![job("Enterprise class", 4, true), job("HPC class", 5, false)],
+            ),
+            ("tab7".to_string(), Duration::from_millis(2), false, vec![]),
         ];
-        let report = RunReport::from_run(
-            4,
-            Duration::from_millis(12),
-            log,
-            &["fig8".to_string(), "tab7".to_string()],
-            SolverStats::default(),
-        );
+        let report =
+            RunReport::from_run(4, Duration::from_millis(12), runs, SolverStats::default());
         assert_eq!(report.stages.len(), 2);
         assert_eq!(report.stages[0].name, "fig8");
         assert_eq!(report.stages[0].jobs, 2);
         assert_eq!(report.stages[0].failures, 1);
+        assert_eq!(report.stages[1].jobs, 0);
         assert_eq!(report.stages[1].failures, 1);
         assert_eq!(report.failures(), 2);
+        assert_eq!(report.jobs.len(), 2);
         let table = report.to_table().to_ascii();
         assert!(table.contains("fig8") && table.contains("tab7"));
         let json = report.to_json();
         assert!(json.contains("\"threads\": 4"));
         assert!(json.contains("\"name\": \"fig8\""));
-        assert!(json.contains("\"label\": \"fig8/Enterprise class\""));
+        assert!(json.contains("\"label\": \"Enterprise class\""));
         assert!(json.contains("\"solver\""));
         // The report is valid JSON by construction (shared json module).
         let parsed = Json::parse(&json).expect("report parses");
@@ -567,16 +585,15 @@ mod tests {
 
     #[test]
     fn report_json_escapes_label_content() {
-        let log = vec![JobRecord {
+        let job = JobRecord {
             label: "weird/\"quoted\"\nlabel\\path".into(),
             wall: Duration::from_millis(1),
             ok: true,
-        }];
+        };
         let report = RunReport::from_run(
             1,
             Duration::from_millis(1),
-            log,
-            &[],
+            vec![("s".to_string(), Duration::from_millis(1), true, vec![job])],
             SolverStats::default(),
         );
         let json = report.to_json();

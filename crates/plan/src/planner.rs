@@ -141,9 +141,6 @@ pub struct Plan {
 
 /// Plans the fleet: prune → evaluate (fanned through the executor) → rank.
 ///
-/// The caller owns the executor job log: long-lived daemons must drain it,
-/// the repro stage harvests it for run reports.
-///
 /// # Errors
 ///
 /// * [`PlanError::Spec`] for inconsistencies only visible at plan time

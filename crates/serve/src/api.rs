@@ -464,11 +464,7 @@ pub fn sweep(kind: SweepKind, body: &Json) -> Result<Json, ApiError> {
         }?;
         Ok::<_, ModelError>((workload, baseline, points))
     })
-    .map_err(model_err);
-    // The executor's job log exists for one-shot CLI run reports; a
-    // long-lived daemon must drain it so it cannot grow without bound.
-    executor::drain_job_log();
-    let results = results?;
+    .map_err(model_err)?;
 
     let workloads_json: Vec<Json> = results
         .iter()
@@ -506,9 +502,7 @@ pub fn equivalence_endpoint(body: &Json) -> Result<Json, ApiError> {
     let results = executor::par_map("serve.equivalence", workloads, |workload| {
         equivalence(&workload, &system, &curve).map(|eq| (workload, eq))
     })
-    .map_err(model_err);
-    executor::drain_job_log();
-    let results = results?;
+    .map_err(model_err)?;
 
     let rows: Vec<Json> = results
         .iter()
@@ -652,9 +646,7 @@ pub fn capacity(body: &Json) -> Result<Json, ApiError> {
         let throughput = sys.hardware_threads() as f64 * sys.core_clock().value() / solved.cpi_eff;
         Ok::<_, ModelError>((opt, sys, solved, throughput))
     })
-    .map_err(model_err);
-    executor::drain_job_log();
-    let results = results?;
+    .map_err(model_err)?;
 
     let best = results
         .iter()
@@ -755,11 +747,8 @@ pub fn plan_endpoint(body: &Json) -> Result<Json, ApiError> {
     } else {
         PlanSpec::from_json(&spec_body).map_err(plan_err)?
     };
-    let plan = memsense_plan::planner::plan(&spec);
-    // The planner fans candidate evaluations through the shared executor;
-    // a long-lived daemon must drain its job log (see `sweep`).
-    executor::drain_job_log();
-    let body = memsense_plan::report::plan_json(&plan.map_err(plan_err)?);
+    let plan = memsense_plan::planner::plan(&spec).map_err(plan_err)?;
+    let body = memsense_plan::report::plan_json(&plan);
     // The wire writes `Json::to_string` (insertion order); re-parse the
     // canonical form so the served bytes equal the `memsense-plan --out`
     // and repro-stage plan.json bodies exactly, not just semantically.

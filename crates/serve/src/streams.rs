@@ -30,7 +30,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use memsense_experiments::executor;
 use memsense_experiments::json::Json;
 use memsense_stream::session::{Session, SubmitAck, Update};
 
@@ -144,9 +143,6 @@ impl StreamRegistry {
                 return (e.status, e.body());
             }
         };
-        // The opening solve fans out through the shared executor; a
-        // long-lived daemon must drain its job log.
-        executor::drain_job_log();
         let (_, resolved, skipped) = session.counters();
         self.cells_resolved.fetch_add(resolved, Ordering::Relaxed);
         self.cells_skipped.fetch_add(skipped, Ordering::Relaxed);
@@ -206,7 +202,6 @@ impl StreamRegistry {
         let ack = match state.session.submit(&ops) {
             Ok(ack) => ack,
             Err(err) => {
-                executor::drain_job_log();
                 // The offending batch rolled back, but batches applied
                 // earlier in the same call are committed: fold them into
                 // the lifetime counters and tell the client exactly how far
@@ -226,7 +221,6 @@ impl StreamRegistry {
                 return (e.status, body);
             }
         };
-        executor::drain_job_log();
         self.record_applied(&ack);
         let body = Json::obj(vec![
             ("accepted", Json::num(ack.accepted as f64)),

@@ -20,6 +20,7 @@
 //! wall-clock/job/solver telemetry and writes `run_report.json`.
 
 use std::collections::BTreeSet;
+use std::convert::Infallible;
 use std::fmt::Write as _;
 use std::path::Path;
 use std::process::ExitCode;
@@ -98,29 +99,28 @@ fn main() -> ExitCode {
 
     let out = default_output_dir();
     let started = Instant::now();
-    executor::drain_job_log();
     let solver_before = telemetry::snapshot();
 
     // Every stage is one executor job writing into its own stdout buffer;
     // buffers are printed in target order below, so output matches a
-    // serial run byte for byte.
-    let outcomes: Vec<Result<String, String>> = executor::par_map_full(
-        order.clone(),
-        |_, target| format!("{}{target}", executor::STAGE_LABEL_PREFIX),
-        |target| {
+    // serial run byte for byte. Each stage records the jobs it dispatches.
+    let Ok(stages) = executor::par_map("stage", order.clone(), |target| {
+        let stage_started = Instant::now();
+        let (outcome, jobs) = executor::record_jobs(|| {
             let mut buf = String::new();
-            match run_target(&target, &out, &mut buf) {
-                Ok(()) => Ok(buf),
-                Err(e) => Err(e.to_string()),
-            }
-        },
-    );
+            run_target(&target, &out, &mut buf)
+                .map(|()| buf)
+                .map_err(|e| e.to_string())
+        });
+        let ok = outcome.is_ok();
+        Ok::<_, Infallible>((outcome, (target, stage_started.elapsed(), ok, jobs)))
+    });
+    let (outcomes, runs): (Vec<Result<String, String>>, Vec<_>) = stages.into_iter().unzip();
 
     let report = RunReport::from_run(
         executor::thread_count(),
         started.elapsed(),
-        executor::drain_job_log(),
-        &order,
+        runs,
         telemetry::snapshot().since(&solver_before),
     );
 

@@ -151,6 +151,59 @@ fn report_flag_prints_telemetry_and_writes_json() {
     assert!(json.contains("\"name\": \"tornado\""));
 }
 
+/// `(name, jobs, failures)` of every stage in a `--report` run's JSON. Each
+/// thread count runs in its own directory, so concurrent tests cannot
+/// overwrite its `run_report.json`.
+fn stage_job_counts(threads: &str, targets: &[&str]) -> Vec<(String, u64, u64)> {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("report-{threads}"));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .current_dir(&dir)
+        .env("MEMSENSE_THREADS", threads)
+        .arg("--report")
+        .args(targets)
+        .output()
+        .expect("repro binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let json = std::fs::read_to_string(dir.join("target/repro/run_report.json"))
+        .expect("run_report.json written");
+    let report = memsense_experiments::json::Json::parse(&json).expect("report parses");
+    report
+        .get("stages")
+        .and_then(|s| s.as_arr())
+        .expect("stages array")
+        .iter()
+        .map(|stage| {
+            let count = |key| stage.get(key).and_then(|v| v.as_u64()).expect(key);
+            let name = stage.get("name").and_then(|v| v.as_str()).expect("name");
+            (name.to_string(), count("jobs"), count("failures"))
+        })
+        .collect()
+}
+
+#[test]
+fn report_attributes_every_stage_job_at_any_thread_count() {
+    // Job counts follow the call structure, not label prefixes, so they
+    // are the same serially and in parallel. These stages do not share
+    // the one-time calibration, which counts under whichever stage runs
+    // it first.
+    let targets = ["fig8", "tornado", "io", "channels"];
+    let serial = stage_job_counts("1", &targets);
+    let parallel = stage_job_counts("4", &targets);
+    assert_eq!(serial, parallel, "per-stage counts differ by thread count");
+    for stage in ["io", "channels"] {
+        let (_, jobs, _) = serial
+            .iter()
+            .find(|(name, _, _)| name == stage)
+            .expect("stage reported");
+        assert!(*jobs > 0, "{stage} dispatched no recorded jobs: {serial:?}");
+    }
+}
+
 #[test]
 fn invalid_thread_count_is_a_one_line_diagnostic() {
     for bad in ["abc", "-2", "1.5", ""] {
