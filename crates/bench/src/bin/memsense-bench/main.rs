@@ -1,16 +1,17 @@
 //! `memsense-bench` — record and check the recorded performance baselines.
 //!
 //! ```text
-//! memsense-bench sim-baseline                          # record BENCH_sim.json
-//! memsense-bench serve-baseline --out path.json        # record elsewhere
+//! memsense-bench sim-baseline                          # measure and print only
+//! memsense-bench serve-baseline --out BENCH_serve.json # record
 //! memsense-bench stream-baseline --check BENCH_stream.json \
 //!     --report stream_gate.json                        # CI mode
 //! ```
 //!
-//! Each `<scenario>-baseline` subcommand measures one scenario and either
-//! records it (`--out`, default `BENCH_<scenario>.json`) or gates it against
-//! a recorded file (`--check`, exit 1 on any regression; `--report` writes
-//! the gate as JSON). Check mode replays the load parameters the file
+//! Each `<scenario>-baseline` subcommand measures one scenario and prints
+//! its table. It records the measurement only when `--out` names a file,
+//! so a bare run never overwrites a committed baseline. `--check` gates it
+//! against a recorded file instead (exit 1 on any regression; `--report`
+//! writes the gate as JSON). Check mode replays the load parameters the file
 //! records. `--repeats` (default 3) is the best-of-N count for sim and
 //! stream.
 //!
@@ -41,13 +42,13 @@ const USAGE: &str = "usage: memsense-bench {sim,serve,stream}-baseline \
 
 struct Args {
     scenario: Scenario,
-    out: PathBuf,
+    out: Option<PathBuf>,
     check: Option<PathBuf>,
     report: Option<PathBuf>,
     repeats: Option<usize>,
 }
 
-fn parse_args(mut argv: std::env::Args) -> Result<Args, String> {
+fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
     let _exe = argv.next();
     let command = argv.next().ok_or(USAGE)?;
     let scenario = Scenario::ALL
@@ -56,7 +57,7 @@ fn parse_args(mut argv: std::env::Args) -> Result<Args, String> {
         .ok_or_else(|| format!("unknown command {command:?}\n{USAGE}"))?;
     let mut args = Args {
         scenario,
-        out: PathBuf::from(format!("BENCH_{}.json", scenario.name())),
+        out: None,
         check: None,
         report: None,
         repeats: None,
@@ -67,7 +68,7 @@ fn parse_args(mut argv: std::env::Args) -> Result<Args, String> {
                 .ok_or_else(|| format!("{flag} requires a value\n{USAGE}"))
         };
         match flag.as_str() {
-            "--out" => args.out = PathBuf::from(value()?),
+            "--out" => args.out = Some(PathBuf::from(value()?)),
             "--check" => args.check = Some(PathBuf::from(value()?)),
             "--report" => args.report = Some(PathBuf::from(value()?)),
             "--repeats" if scenario != Scenario::Serve => {
@@ -140,9 +141,14 @@ fn run(args: &Args) -> Result<bool, String> {
     };
     let current = measure(args, recorded.as_ref())?;
     let Some(recorded) = recorded else {
-        write(&args.out, current.to_json())?;
         print!("{}", current.to_table().to_ascii());
-        println!("recorded {}", args.out.display());
+        match &args.out {
+            Some(out) => {
+                write(out, current.to_json())?;
+                println!("recorded {}", out.display());
+            }
+            None => println!("not recorded (pass --out PATH to record)"),
+        }
         return Ok(true);
     };
     let comparison = compare(&current, &recorded, args.scenario.tolerance());
@@ -184,5 +190,23 @@ fn main() -> ExitCode {
             eprintln!("error: {msg}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(argv: &[&str]) -> Result<Args, String> {
+        parse_args(argv.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn only_an_explicit_out_records() {
+        let bare = parse(&["memsense-bench", "stream-baseline"]).unwrap();
+        assert_eq!(bare.out, None, "a bare run must not pick a file to write");
+        let out = parse(&["memsense-bench", "stream-baseline", "--out", "b.json"]).unwrap();
+        assert_eq!(out.out, Some(PathBuf::from("b.json")));
+        assert!(parse(&["memsense-bench", "stream-baseline", "--out"]).is_err());
     }
 }

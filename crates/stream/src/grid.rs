@@ -16,9 +16,8 @@
 //! therefore compare — and render — byte-identically.
 
 use std::cmp::Ordering;
-use std::ops::Range;
 
-use memsense_experiments::json::Json;
+use memsense_experiments::json::{escape_str, write_f64, Json};
 use memsense_model::queueing::QueueingCurve;
 use memsense_model::sensitivity::{default_bandwidth_deltas, default_latency_steps};
 use memsense_model::solver::{solve_cpi, SolvedCpi};
@@ -179,35 +178,18 @@ impl GridSpec {
     }
 
     /// Every cell key of the grid, in deterministic (workload, bandwidth,
-    /// latency) order.
+    /// latency) order — key order, since both axes are sorted.
     pub fn cell_keys(&self) -> Vec<CellKey> {
-        cross_keys(
-            0..self.workloads.len(),
-            &self.bandwidth_deltas,
-            &self.latency_steps_ns,
-        )
-        .collect()
+        let mut keys = Vec::with_capacity(self.cell_count());
+        for workload in 0..self.workloads.len() {
+            for &bw in &self.bandwidth_deltas {
+                for &lat in &self.latency_steps_ns {
+                    keys.push(CellKey::new(workload, bw, lat));
+                }
+            }
+        }
+        keys
     }
-}
-
-/// The keys of the cross product `workloads × bandwidth × latency`, in key
-/// order when both axes are sorted. A grid is always a full cross product,
-/// so the cells any one parameter touches are such a product with that
-/// parameter's axis narrowed to the one point: a workload's cells are
-/// `w..w + 1 × bandwidth × latency`, a bandwidth point's cells are
-/// `all workloads × [point] × latency`, and so on.
-pub fn cross_keys<'a>(
-    workloads: Range<usize>,
-    bandwidth: &'a [f64],
-    latency: &'a [f64],
-) -> impl Iterator<Item = CellKey> + 'a {
-    workloads.flat_map(move |workload| {
-        bandwidth.iter().flat_map(move |&bw| {
-            latency
-                .iter()
-                .map(move |&lat| CellKey::new(workload, bw, lat))
-        })
-    })
 }
 
 /// Checks a spec against [`MAX_GRID_CELLS`]. Run on every spec entering a
@@ -281,18 +263,13 @@ impl CellKey {
         }
     }
 
-    /// The cell identity as a JSON object (used for `removed` lists). The
-    /// keys are listed in canonical order, so `canonical()` takes its
-    /// sorted-keys fast path.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            (
-                "bandwidth_delta_gbps",
-                Json::num(self.bandwidth_delta.value()),
-            ),
-            ("latency_step_ns", Json::num(self.latency_step.value())),
-            ("workload_index", Json::num(self.workload as f64)),
-        ])
+    /// Appends the cell identity as canonical JSON (the `removed` lists).
+    pub fn render(&self, out: &mut String) {
+        let bw = self.bandwidth_delta.value();
+        push_num(out, "{\"bandwidth_delta_gbps\":", bw);
+        push_num(out, ",\"latency_step_ns\":", self.latency_step.value());
+        push_num(out, ",\"workload_index\":", self.workload as f64);
+        out.push('}');
     }
 }
 
@@ -335,33 +312,34 @@ pub fn solve_cell(
     })
 }
 
-/// Renders one cell (identity + solved value + weighted CPI) as JSON. The
-/// keys are listed in canonical (bytewise) order, so `canonical()` — the
-/// only form a cell is rendered in — takes its sorted-keys fast path.
-pub fn cell_json(spec: &GridSpec, key: CellKey, state: &CellState) -> Json {
+/// Appends one cell's canonical render (identity + solved value + weighted
+/// CPI) to `out`: keys in bytewise order, numbers through [`write_f64`],
+/// strings through [`escape_str`] — the bytes `Json::canonical` writes for
+/// the same object, without building it.
+pub fn render_cell(spec: &GridSpec, key: CellKey, state: &CellState, out: &mut String) {
     let entry = &spec.workloads[key.workload];
-    Json::obj(vec![
-        (
-            "bandwidth_delta_gbps",
-            Json::num(key.bandwidth_delta.value()),
-        ),
-        (
-            "bandwidth_per_core_gbps",
-            Json::num(state.bandwidth_per_core),
-        ),
-        ("cpi", Json::num(state.solved.cpi_eff)),
-        ("latency_step_ns", Json::num(key.latency_step.value())),
-        ("regime", Json::str(state.solved.regime.token())),
-        ("unloaded_latency_ns", Json::num(state.unloaded_latency_ns)),
-        ("utilization", Json::num(state.solved.utilization)),
-        ("weight", Json::num(entry.weight)),
-        (
-            "weighted_cpi",
-            Json::num(entry.weight * state.solved.cpi_eff),
-        ),
-        ("workload", Json::str(&entry.workload.name)),
-        ("workload_index", Json::num(key.workload as f64)),
-    ])
+    let (bw, lat) = (key.bandwidth_delta.value(), key.latency_step.value());
+    let (per_core, cpi) = (state.bandwidth_per_core, state.solved.cpi_eff);
+    push_num(out, "{\"bandwidth_delta_gbps\":", bw);
+    push_num(out, ",\"bandwidth_per_core_gbps\":", per_core);
+    push_num(out, ",\"cpi\":", cpi);
+    push_num(out, ",\"latency_step_ns\":", lat);
+    out.push_str(",\"regime\":");
+    escape_str(state.solved.regime.token(), out);
+    push_num(out, ",\"unloaded_latency_ns\":", state.unloaded_latency_ns);
+    push_num(out, ",\"utilization\":", state.solved.utilization);
+    push_num(out, ",\"weight\":", entry.weight);
+    push_num(out, ",\"weighted_cpi\":", entry.weight * cpi);
+    out.push_str(",\"workload\":");
+    escape_str(&entry.workload.name, out);
+    push_num(out, ",\"workload_index\":", key.workload as f64);
+    out.push('}');
+}
+
+/// Appends `prefix` and `v` as a canonical JSON number.
+pub(crate) fn push_num(out: &mut String, prefix: &str, v: f64) {
+    out.push_str(prefix);
+    write_f64(v, out);
 }
 
 /// Renders the system configuration for snapshots.
@@ -475,38 +453,98 @@ mod tests {
         assert_eq!(spec.cell_count(), MAX_GRID_CELLS);
     }
 
+    /// Reference render: the `Json` tree whose canonical bytes `render_cell`
+    /// must equal.
+    fn cell_json(spec: &GridSpec, key: CellKey, state: &CellState) -> Json {
+        let entry = &spec.workloads[key.workload];
+        Json::obj(vec![
+            (
+                "bandwidth_delta_gbps",
+                Json::num(key.bandwidth_delta.value()),
+            ),
+            (
+                "bandwidth_per_core_gbps",
+                Json::num(state.bandwidth_per_core),
+            ),
+            ("cpi", Json::num(state.solved.cpi_eff)),
+            ("latency_step_ns", Json::num(key.latency_step.value())),
+            ("regime", Json::str(state.solved.regime.token())),
+            ("unloaded_latency_ns", Json::num(state.unloaded_latency_ns)),
+            ("utilization", Json::num(state.solved.utilization)),
+            ("weight", Json::num(entry.weight)),
+            (
+                "weighted_cpi",
+                Json::num(entry.weight * state.solved.cpi_eff),
+            ),
+            ("workload", Json::str(&entry.workload.name)),
+            ("workload_index", Json::num(key.workload as f64)),
+        ])
+    }
+
     #[test]
     fn renders_list_their_keys_in_canonical_order() {
         let spec = GridSpec::default_grid();
         let key = CellKey::new(2, -1.5, 30.0);
         let state = solve_cell(&spec, key, &QueueingCurve::composite_default()).unwrap();
-        for json in [cell_json(&spec, key, &state), key.to_json()] {
-            let Json::Obj(pairs) = &json else {
-                panic!("renders are objects")
-            };
-            assert!(
-                pairs.windows(2).all(|w| w[0].0 < w[1].0),
-                "keys not strictly ascending: {}",
-                json.to_string()
-            );
+        let mut cell = String::new();
+        render_cell(&spec, key, &state, &mut cell);
+        let mut identity = String::new();
+        key.render(&mut identity);
+        for render in [cell, identity] {
+            // A canonical document re-canonicalizes to itself.
+            assert_eq!(Json::parse(&render).unwrap().canonical(), render);
         }
     }
 
     #[test]
-    fn cross_keys_narrow_one_axis_to_one_point() {
-        let spec = GridSpec::default_grid();
-        let all: Vec<CellKey> = spec.cell_keys();
-        let row: Vec<CellKey> = cross_keys(0..3, &[-1.5], &spec.latency_steps_ns).collect();
-        let expected: Vec<CellKey> = all
-            .iter()
-            .copied()
-            .filter(|k| k.bandwidth_delta.value() == -1.5)
-            .collect();
-        assert_eq!(row, expected);
-        let workload: Vec<CellKey> =
-            cross_keys(1..2, &spec.bandwidth_deltas, &spec.latency_steps_ns).collect();
-        assert_eq!(workload.len(), 56);
-        assert!(workload.iter().all(|k| k.workload == 1));
+    fn direct_renders_equal_the_json_tree_renders() {
+        let curve = QueueingCurve::composite_default();
+        let mut spec = GridSpec::default_grid();
+        // Quote, backslash, control characters and non-ASCII all escape.
+        spec.workloads[1].workload.name = "a\"b\\c\u{1}\n\u{1f} é ∑ 🙂".to_string();
+        spec.workloads[2].weight = f64::MAX;
+        let base = solve_cell(&spec, CellKey::new(0, 0.0, 0.0), &curve).unwrap();
+        let extremes = [
+            -0.0,
+            f64::MAX,
+            -f64::MAX,
+            f64::MIN_POSITIVE,
+            5e-324,
+            -1e-300,
+            1.0 / 3.0,
+        ];
+        for (i, &x) in extremes.iter().enumerate() {
+            let y = extremes[(i + 3) % extremes.len()];
+            let state = CellState {
+                solved: SolvedCpi {
+                    cpi_eff: x,
+                    utilization: y,
+                    ..base.solved.clone()
+                },
+                bandwidth_per_core: y,
+                unloaded_latency_ns: x,
+            };
+            for key in [
+                CellKey::new(i % 3, x, y),
+                CellKey::new(1, -0.0, -0.0),
+                CellKey::new(2, f64::MAX, 5e-324),
+            ] {
+                let mut cell = String::new();
+                render_cell(&spec, key, &state, &mut cell);
+                assert_eq!(cell, cell_json(&spec, key, &state).canonical());
+                let mut identity = String::new();
+                key.render(&mut identity);
+                let reference = Json::obj(vec![
+                    (
+                        "bandwidth_delta_gbps",
+                        Json::num(key.bandwidth_delta.value()),
+                    ),
+                    ("latency_step_ns", Json::num(key.latency_step.value())),
+                    ("workload_index", Json::num(key.workload as f64)),
+                ]);
+                assert_eq!(identity, reference.canonical());
+            }
+        }
     }
 
     #[test]

@@ -5,15 +5,15 @@
 //! production "what-if" service sees the opposite access pattern: a stream
 //! of small deltas against a mostly-stable model state. This crate makes
 //! that incremental: a [`session::Session`] holds a materialized sweep
-//! grid ([`grid::GridSpec`]). The grid is always a full cross product, so
-//! **dirty cells are derived from the axes**: a tunable parameter (a
-//! bandwidth point, a latency point, one workload's mix weight, the
-//! hardware config) influences exactly the product with its own axis
-//! narrowed to it ([`grid::cross_keys`]). Clients submit
-//! [`session::Delta`] ops; the session batches them by a logical/physical
-//! batching knob and applies each batch by re-solving only the dirty cells
-//! through `executor::par_map`, emitting a per-batch [`session::Update`]
-//! record — changed cells only, canonical JSON, monotone sequence numbers.
+//! grid ([`grid::GridSpec`]). Clients submit [`session::Delta`] ops; the
+//! session batches them by a batching knob and records, per batch, only
+//! **which parameters moved**: axis points added, workloads reweighted,
+//! the hardware config replaced. The grid is always a full cross product,
+//! so one pass over the final grid reads the dirty cells off those
+//! parameters. The batch re-solves only them through `executor::par_map`
+//! and emits a per-batch [`session::Update`] record — changed cells only,
+//! canonical JSON ([`grid::render_cell`] writes each cell's bytes
+//! directly), monotone sequence numbers.
 //!
 //! The contract that makes incremental trustworthy: after any delta
 //! sequence, the session state is **byte-identical** to a from-scratch

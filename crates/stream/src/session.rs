@@ -1,39 +1,42 @@
 //! Delta-solve sessions: batched incremental evaluation over a grid.
 //!
-//! A [`Session`] owns one validated [`GridSpec`], the solved state of every
-//! cell, and each cell's canonical JSON render. Submitted [`Delta`] ops
+//! A [`Session`] owns one validated [`GridSpec`] and, per cell, its solved
+//! state next to its canonical JSON render. Submitted [`Delta`] ops
 //! accumulate in a pending buffer until the batching knob fires (or an
-//! explicit [`Delta::Flush`] arrives); a batch is applied by classifying
-//! every touched cell as *re-solve* (solver inputs moved), *revalue*
-//! (render-only inputs like mix weights moved), or *removed*, re-solving
-//! only the first class through `executor::par_map`, and emitting one
-//! [`Update`] per batch carrying the cells whose canonical rendering
-//! actually changed.
+//! explicit [`Delta::Flush`] arrives). Applying a batch emits one
+//! [`Update`] carrying the cells whose canonical render actually changed.
 //!
-//! **Dirty cells are derived from the axes.** A grid is always the full
-//! cross product of its workload mix and its two axes, so the cells one op
-//! touches are that product with one axis narrowed to the op's point
-//! ([`cross_keys`]): a weight touches its workload's cells, an axis point
-//! the cells on that point, `SetSystem` every cell. No index is kept.
+//! **Dirtiness is recorded per parameter.** The ops apply in order to a
+//! scratch spec and note only which parameters moved: bandwidth and latency
+//! points they added, workloads whose weight they changed, and whether they
+//! replaced the system. A grid is always the full cross product of its mix
+//! and its two axes, so one pass over the final spec's cells in key order
+//! reads off the two dirty lists: a cell *re-solves* (through
+//! `executor::par_map`) if the system moved or its bandwidth or latency
+//! point was added, and otherwise *revalues* (re-renders from its stored
+//! state) if its workload's weight moved. Committed cells whose points left
+//! the axes are *removed*.
 //!
-//! Each cell is rendered once per change: the render is stored, compared
-//! with the previous one to decide whether the cell changed, and spliced
-//! as-is into the update body.
+//! Each cell is rendered straight to canonical bytes ([`render_cell`])
+//! once per change. The render is stored beside the state, compared with
+//! the previous one to decide whether the cell changed, and spliced as-is
+//! into update and snapshot bodies.
 //!
-//! Batch application is **transactional**: all mutation happens on scratch
-//! copies and commits only if every dirty cell solves. On failure the
+//! Batch application is **transactional**: all mutation happens on a
+//! scratch spec and commits only if every dirty cell solves. On failure the
 //! session keeps its previous state byte-for-byte (the failed batch's ops
 //! are dropped, and the error tells the client why).
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, VecDeque};
 
 use memsense_experiments::executor;
-use memsense_experiments::json::{write_f64, Json};
+use memsense_experiments::json::{escape_str, write_f64};
 use memsense_model::queueing::QueueingCurve;
 use memsense_model::system::SystemConfig;
 
 use crate::grid::{
-    cell_json, check_cell_cap, check_weight, cross_keys, normalize_axis_value, solve_cell,
+    check_cell_cap, check_weight, normalize_axis_value, push_num, render_cell, solve_cell,
     system_json, CellKey, CellState, GridSpec, MAX_AXIS_POINTS,
 };
 use crate::StreamError;
@@ -130,12 +133,11 @@ impl From<SubmitError> for StreamError {
 #[derive(Debug)]
 pub struct Session {
     spec: GridSpec,
-    cells: BTreeMap<CellKey, CellState>,
-    /// Each cell's canonical render, kept in step with `cells`.
-    rendered: BTreeMap<CellKey, String>,
+    /// Each cell's solved state and its canonical render.
+    cells: BTreeMap<CellKey, (CellState, String)>,
     curve: QueueingCurve,
     batch: usize,
-    pending: Vec<Delta>,
+    pending: Vec<Edit>,
     next_seq: u64,
     updates: VecDeque<Update>,
     deltas_applied: u64,
@@ -156,25 +158,10 @@ impl Session {
         if batch == 0 || batch > MAX_AXIS_POINTS {
             return Err(StreamError::invalid("batch must be in 1..=4096"));
         }
-        let curve = QueueingCurve::composite_default();
-        let keys = spec.cell_keys();
-        let states = executor::par_map("stream.open", keys.clone(), |key| {
-            solve_cell(&spec, key, &curve)
-        })?;
-
-        let mut cells = BTreeMap::new();
-        let mut rendered = BTreeMap::new();
-        for (key, state) in keys.iter().copied().zip(states) {
-            rendered.insert(key, cell_json(&spec, key, &state).canonical());
-            cells.insert(key, state);
-        }
-
-        let resolved = cells.len() as u64;
         let mut session = Session {
             spec,
-            cells,
-            rendered,
-            curve,
+            cells: BTreeMap::new(),
+            curve: QueueingCurve::composite_default(),
             batch,
             pending: Vec::new(),
             next_seq: 0,
@@ -183,8 +170,11 @@ impl Session {
             total_resolved: 0,
             total_skipped: 0,
         };
-        let changed: Vec<CellKey> = session.cells.keys().copied().collect();
-        session.emit_update(&changed, &BTreeSet::new(), resolved, 0, 0);
+        let keys = session.spec.cell_keys();
+        let solved = session.solve("stream.open", &session.spec, keys)?;
+        let changed = session.commit(solved, Vec::new());
+        let resolved = session.cells.len() as u64;
+        session.emit_update(&changed, &[], resolved, 0, 0);
         session.total_resolved = resolved;
         Ok(session)
     }
@@ -211,12 +201,12 @@ impl Session {
         };
         for op in ops {
             ack.accepted += 1;
-            let apply = match op {
-                Delta::Flush => !self.pending.is_empty(),
-                other => {
-                    self.pending.push(other.clone());
+            let apply = match Edit::of(op) {
+                Some(edit) => {
+                    self.pending.push(edit);
                     self.pending.len() >= self.batch
                 }
+                None => !self.pending.is_empty(),
             };
             if apply {
                 if let Err(error) = self.apply_pending(&mut ack) {
@@ -232,115 +222,80 @@ impl Session {
     }
 
     fn apply_pending(&mut self, ack: &mut SubmitAck) -> Result<(), StreamError> {
-        let ops = std::mem::take(&mut self.pending);
-        let deltas = ops.len() as u64;
+        let edits = std::mem::take(&mut self.pending);
+        let deltas = edits.len() as u64;
 
-        // All mutation below happens on scratch copies; `self` commits only
-        // after every dirty cell has solved.
+        // The ops mutate a scratch spec and record only which parameters
+        // moved; `self` commits after every dirty cell has solved.
         let mut spec = self.spec.clone();
-        let mut need_solve: BTreeSet<CellKey> = BTreeSet::new();
-        let mut revalued: BTreeSet<CellKey> = BTreeSet::new();
-        let mut removed: BTreeSet<CellKey> = BTreeSet::new();
-
-        for op in &ops {
-            match op {
-                Delta::AddBandwidth(v) => add_axis_point(
-                    Axis::Bandwidth,
-                    *v,
-                    &mut spec,
-                    &mut need_solve,
-                    &mut removed,
-                )?,
-                Delta::RemoveBandwidth(v) => remove_axis_point(
-                    Axis::Bandwidth,
-                    *v,
-                    &mut spec,
-                    &mut need_solve,
-                    &mut revalued,
-                    &mut removed,
-                )?,
-                Delta::AddLatency(v) => {
-                    add_axis_point(Axis::Latency, *v, &mut spec, &mut need_solve, &mut removed)?
+        let mut added_bandwidth = Vec::new();
+        let mut added_latency = Vec::new();
+        let mut reweighted = vec![false; spec.workloads.len()];
+        let mut system_moved = false;
+        for edit in edits {
+            match edit {
+                Edit::Add(axis, value) => {
+                    if let Some(point) = add_axis_point(axis, value, &mut spec)? {
+                        match axis {
+                            Axis::Bandwidth => added_bandwidth.push(point),
+                            Axis::Latency => added_latency.push(point),
+                        }
+                    }
                 }
-                Delta::RemoveLatency(v) => remove_axis_point(
-                    Axis::Latency,
-                    *v,
-                    &mut spec,
-                    &mut need_solve,
-                    &mut revalued,
-                    &mut removed,
-                )?,
-                Delta::SetWeight { workload, weight } => {
-                    let Some(entry) = spec.workloads.get_mut(*workload) else {
+                Edit::Remove(axis, value) => remove_axis_point(axis, value, &mut spec)?,
+                Edit::Weight(workload, weight) => {
+                    let Some(entry) = spec.workloads.get_mut(workload) else {
                         return Err(StreamError::invalid("workload index out of range"));
                     };
-                    check_weight(*weight)?;
-                    let weight = *weight + 0.0;
+                    check_weight(weight)?;
+                    let weight = weight + 0.0;
                     if entry.weight.to_bits() != weight.to_bits() {
                         entry.weight = weight;
-                        // Weight is render-only: the workload's cells
-                        // revalue, none re-solves.
-                        revalued.extend(cross_keys(
-                            *workload..*workload + 1,
-                            &spec.bandwidth_deltas,
-                            &spec.latency_steps_ns,
-                        ));
+                        reweighted[workload] = true;
                     }
                 }
-                Delta::SetSystem(system) => {
-                    if spec.system != *system {
-                        spec.system = system.clone();
-                        need_solve.extend(spec.cell_keys());
+                Edit::System(system) => {
+                    if spec.system != system {
+                        spec.system = system;
+                        system_moved = true;
                     }
                 }
-                // Flush never enters the pending buffer.
-                // memsense-lint: allow(no-panic-in-lib) — submit() filters Flush out
-                Delta::Flush => unreachable!("Flush is handled at submit time"),
             }
         }
 
-        // Re-solve only the dirty cells; this is where the incremental win
-        // materializes as cells_skipped.
-        revalued.retain(|key| !need_solve.contains(key));
-        let dirty: Vec<CellKey> = need_solve.iter().copied().collect();
-        let solved = {
-            let spec_ref = &spec;
-            let curve = &self.curve;
-            executor::par_map("stream.delta", dirty.clone(), |key| {
-                solve_cell(spec_ref, key, curve)
-            })?
-        };
+        // One pass over the final grid in key order: a cell re-solves if a
+        // solver input moved (the system, or its own axis point is new) and
+        // revalues if only its workload's render-only weight moved.
+        let fresh_bandwidth = flags(&spec.bandwidth_deltas, |p| added_bandwidth.contains(&p));
+        let fresh_latency = flags(&spec.latency_steps_ns, |p| added_latency.contains(&p));
+        let mut resolve = Vec::new();
+        let mut revalue = Vec::new();
+        for (key, fresh) in flagged_cells(&spec, &fresh_bandwidth, &fresh_latency) {
+            if system_moved || fresh {
+                resolve.push(key);
+            } else if reweighted[key.workload] {
+                revalue.push(key);
+            }
+        }
+        let resolved = resolve.len() as u64;
+        let solved = self.solve("stream.delta", &spec, resolve)?;
 
-        // A point added and removed within this same batch never reached
-        // the committed grid; reporting it as removed would tell the
-        // client about cells it never saw. Filter before the commit below
-        // erases the evidence of what was committed.
-        removed.retain(|key| self.cells.contains_key(key));
+        // Committed cells whose point left an axis. A point added and
+        // removed within this batch never reached the committed grid, so
+        // its cells are not reported.
+        let gone = |old: &[f64], new: &[f64]| flags(old, |p| find(new, p).is_err());
+        let gone_bandwidth = gone(&self.spec.bandwidth_deltas, &spec.bandwidth_deltas);
+        let gone_latency = gone(&self.spec.latency_steps_ns, &spec.latency_steps_ns);
+        let removed: Vec<CellKey> = flagged_cells(&self.spec, &gone_bandwidth, &gone_latency)
+            .filter_map(|(key, flagged)| flagged.then_some(key))
+            .collect();
 
-        // Commit.
         self.spec = spec;
         for key in &removed {
             self.cells.remove(key);
-            self.rendered.remove(key);
         }
-        for (key, state) in dirty.iter().zip(solved) {
-            self.cells.insert(*key, state);
-        }
+        let changed = self.commit(solved, revalue);
 
-        // A cell counts as changed only if its canonical rendering moved.
-        let mut changed = Vec::new();
-        for key in need_solve.iter().chain(revalued.iter()) {
-            // memsense-lint: allow(no-panic-in-lib) — need_solve/revalued cells survive removal by construction
-            let state = self.cells.get(key).expect("dirty cell exists");
-            let body = cell_json(&self.spec, *key, state).canonical();
-            if self.rendered.get(key) != Some(&body) {
-                self.rendered.insert(*key, body);
-                changed.push(*key);
-            }
-        }
-        changed.sort();
-
-        let resolved = dirty.len() as u64;
         let skipped = self.cells.len() as u64 - resolved.min(self.cells.len() as u64);
         self.emit_update(&changed, &removed, resolved, skipped, deltas);
         self.deltas_applied += deltas;
@@ -353,6 +308,54 @@ impl Session {
         Ok(())
     }
 
+    /// Solves `keys` against `spec`, pairing each key with its state.
+    fn solve(
+        &self,
+        label: &str,
+        spec: &GridSpec,
+        keys: Vec<CellKey>,
+    ) -> Result<Vec<(CellKey, CellState)>, StreamError> {
+        let curve = &self.curve;
+        Ok(executor::par_map(label, keys, |key| {
+            solve_cell(spec, key, curve).map(|state| (key, state))
+        })?)
+    }
+
+    /// Stores the solved cells and re-renders them and the `revalue` cells
+    /// against the committed spec. Returns the cells whose render moved (new
+    /// cells included), in key order.
+    fn commit(&mut self, solved: Vec<(CellKey, CellState)>, revalue: Vec<CellKey>) -> Vec<CellKey> {
+        let mut changed = Vec::new();
+        let mut scratch = String::new();
+        let mut rerender = |key: CellKey, (state, render): &mut (CellState, String)| {
+            scratch.clear();
+            render_cell(&self.spec, key, state, &mut scratch);
+            if *render != scratch {
+                std::mem::swap(render, &mut scratch);
+                changed.push(key);
+            }
+        };
+        for (key, state) in solved {
+            match self.cells.entry(key) {
+                Entry::Vacant(slot) => rerender(key, slot.insert((state, String::new()))),
+                Entry::Occupied(slot) => {
+                    let cell = slot.into_mut();
+                    cell.0 = state;
+                    rerender(key, cell);
+                }
+            }
+        }
+        for key in revalue {
+            if let Some(cell) = self.cells.get_mut(&key) {
+                rerender(key, cell);
+            }
+        }
+        // Re-solved and revalued cells are each in key order; `sort` merges
+        // the two runs.
+        changed.sort();
+        changed
+    }
+
     /// Emits one update. The body is canonical JSON written directly, keys
     /// in bytewise order, with each changed cell's stored canonical render
     /// spliced in as-is (a canonical document re-canonicalizes to itself,
@@ -360,7 +363,7 @@ impl Session {
     fn emit_update(
         &mut self,
         changed: &[CellKey],
-        removed: &BTreeSet<CellKey>,
+        removed: &[CellKey],
         resolved: u64,
         skipped: u64,
         deltas: u64,
@@ -369,23 +372,20 @@ impl Session {
         self.next_seq += 1;
         let changed: Vec<&str> = changed
             .iter()
-            .filter_map(|key| self.rendered.get(key).map(String::as_str))
+            .filter_map(|key| self.cells.get(key).map(|(_, render)| render.as_str()))
             .collect();
-        let removed: Vec<String> = removed
-            .iter()
-            .map(|key| key.to_json().canonical())
-            .collect();
-        let capacity = changed.iter().map(|s| s.len() + 1).sum::<usize>()
-            + removed.iter().map(|s| s.len() + 1).sum::<usize>()
-            + 128;
+        let capacity =
+            changed.iter().map(|s| s.len() + 1).sum::<usize>() + removed.len() * 96 + 128;
         let mut body = String::with_capacity(capacity);
-        push_count(&mut body, "{\"cells_resolved\":", resolved);
-        push_count(&mut body, ",\"cells_skipped\":", skipped);
-        push_array(&mut body, ",\"changed\":", &changed);
-        push_count(&mut body, ",\"deltas\":", deltas);
-        push_count(&mut body, ",\"grid_cells\":", self.cells.len() as u64);
-        push_array(&mut body, ",\"removed\":", &removed);
-        push_count(&mut body, ",\"seq\":", seq);
+        push_num(&mut body, "{\"cells_resolved\":", resolved as f64);
+        push_num(&mut body, ",\"cells_skipped\":", skipped as f64);
+        push_array(&mut body, ",\"changed\":", changed, |render, out| {
+            out.push_str(render)
+        });
+        push_num(&mut body, ",\"deltas\":", deltas as f64);
+        push_num(&mut body, ",\"grid_cells\":", self.cells.len() as f64);
+        push_array(&mut body, ",\"removed\":", removed, CellKey::render);
+        push_num(&mut body, ",\"seq\":", seq as f64);
         body.push('}');
         if self.updates.len() == MAX_BUFFERED_UPDATES {
             self.updates.pop_front();
@@ -402,50 +402,46 @@ impl Session {
     /// — excluding sequence numbers. Two sessions whose grids evolved to
     /// the same spec render byte-identical snapshots, which is the
     /// incremental-equals-from-scratch contract the differential test
-    /// pins.
+    /// pins. Like an update, it is written directly with the stored cell
+    /// renders spliced in.
     pub fn snapshot(&self) -> String {
-        let cells: Vec<Json> = self
-            .cells
-            .iter()
-            .map(|(key, state)| cell_json(&self.spec, *key, state))
-            .collect();
-        let workloads: Vec<Json> = self
-            .spec
-            .workloads
-            .iter()
-            .map(|entry| {
-                Json::obj(vec![
-                    ("name", Json::str(&entry.workload.name)),
-                    ("weight", Json::num(entry.weight)),
-                ])
-            })
-            .collect();
-        Json::obj(vec![
-            (
-                "bandwidth_deltas",
-                Json::Arr(
-                    self.spec
-                        .bandwidth_deltas
-                        .iter()
-                        .map(|&v| Json::num(v))
-                        .collect(),
-                ),
-            ),
-            ("cells", Json::Arr(cells)),
-            (
-                "latency_steps_ns",
-                Json::Arr(
-                    self.spec
-                        .latency_steps_ns
-                        .iter()
-                        .map(|&v| Json::num(v))
-                        .collect(),
-                ),
-            ),
-            ("system", system_json(&self.spec.system)),
-            ("workloads", Json::Arr(workloads)),
-        ])
-        .canonical()
+        let spec = &self.spec;
+        let capacity = self.cells.values().map(|(_, r)| r.len() + 1).sum::<usize>() + 1024;
+        let mut out = String::with_capacity(capacity);
+        let number = |v: &f64, out: &mut String| write_f64(*v, out);
+        push_array(
+            &mut out,
+            "{\"bandwidth_deltas\":",
+            &spec.bandwidth_deltas,
+            number,
+        );
+        push_array(
+            &mut out,
+            ",\"cells\":",
+            self.cells.values(),
+            |(_, render), out| out.push_str(render),
+        );
+        push_array(
+            &mut out,
+            ",\"latency_steps_ns\":",
+            &spec.latency_steps_ns,
+            number,
+        );
+        out.push_str(",\"system\":");
+        out.push_str(&system_json(&spec.system).canonical());
+        push_array(
+            &mut out,
+            ",\"workloads\":",
+            &spec.workloads,
+            |entry, out| {
+                out.push_str("{\"name\":");
+                escape_str(&entry.workload.name, out);
+                push_num(out, ",\"weight\":", entry.weight);
+                out.push('}');
+            },
+        );
+        out.push('}');
+        out
     }
 
     /// The session's current (evolved) grid spec.
@@ -479,110 +475,128 @@ impl Session {
     }
 }
 
-#[derive(Clone, Copy)]
+/// A buffered op: every [`Delta`] but `Flush`, which never buffers.
+#[derive(Debug)]
+enum Edit {
+    Add(Axis, f64),
+    Remove(Axis, f64),
+    Weight(usize, f64),
+    System(SystemConfig),
+}
+
+impl Edit {
+    /// The edit `delta` makes; `None` for `Flush`.
+    fn of(delta: &Delta) -> Option<Edit> {
+        Some(match delta {
+            Delta::AddBandwidth(v) => Edit::Add(Axis::Bandwidth, *v),
+            Delta::RemoveBandwidth(v) => Edit::Remove(Axis::Bandwidth, *v),
+            Delta::AddLatency(v) => Edit::Add(Axis::Latency, *v),
+            Delta::RemoveLatency(v) => Edit::Remove(Axis::Latency, *v),
+            Delta::SetWeight { workload, weight } => Edit::Weight(*workload, *weight),
+            Delta::SetSystem(system) => Edit::System(system.clone()),
+            Delta::Flush => return None,
+        })
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
 enum Axis {
     Bandwidth,
     Latency,
 }
 
-/// Appends `prefix` and a count as a canonical JSON number.
-fn push_count(body: &mut String, prefix: &str, count: u64) {
-    body.push_str(prefix);
-    write_f64(count as f64, body);
+impl Axis {
+    fn points(self, spec: &mut GridSpec) -> &mut Vec<f64> {
+        match self {
+            Axis::Bandwidth => &mut spec.bandwidth_deltas,
+            Axis::Latency => &mut spec.latency_steps_ns,
+        }
+    }
 }
 
-/// Appends `prefix` and a JSON array of already-rendered items.
-fn push_array(body: &mut String, prefix: &str, items: &[impl AsRef<str>]) {
+/// Where `value` is, or would be inserted, on the sorted axis `points`.
+fn find(points: &[f64], value: f64) -> Result<usize, usize> {
+    points.binary_search_by(|p| p.total_cmp(&value))
+}
+
+/// One flag per point of `points`: whether `flagged` holds for it.
+fn flags(points: &[f64], flagged: impl Fn(f64) -> bool) -> Vec<bool> {
+    points.iter().map(|&p| flagged(p)).collect()
+}
+
+/// Every cell key of `spec` in key order, paired with whether its bandwidth
+/// or its latency point is flagged (`bandwidth` and `latency` run parallel
+/// to the spec's axes).
+fn flagged_cells<'a>(
+    spec: &'a GridSpec,
+    bandwidth: &'a [bool],
+    latency: &'a [bool],
+) -> impl Iterator<Item = (CellKey, bool)> + 'a {
+    let (bw_axis, lat_axis) = (&spec.bandwidth_deltas, &spec.latency_steps_ns);
+    (0..spec.workloads.len()).flat_map(move |workload| {
+        (0..bw_axis.len()).flat_map(move |i| {
+            (0..lat_axis.len()).map(move |j| {
+                let key = CellKey::new(workload, bw_axis[i], lat_axis[j]);
+                (key, bandwidth[i] || latency[j])
+            })
+        })
+    })
+}
+
+/// Appends `prefix` and a JSON array of `items`, each written by `write`.
+fn push_array<T>(
+    body: &mut String,
+    prefix: &str,
+    items: impl IntoIterator<Item = T>,
+    mut write: impl FnMut(T, &mut String),
+) {
     body.push_str(prefix);
     body.push('[');
-    for (i, item) in items.iter().enumerate() {
+    for (i, item) in items.into_iter().enumerate() {
         if i > 0 {
             body.push(',');
         }
-        body.push_str(item.as_ref());
+        write(item, body);
     }
     body.push(']');
 }
 
-fn add_axis_point(
-    axis: Axis,
-    value: f64,
-    spec: &mut GridSpec,
-    need_solve: &mut BTreeSet<CellKey>,
-    removed: &mut BTreeSet<CellKey>,
-) -> Result<(), StreamError> {
+/// Inserts `value` into its axis; the normalized point, or `None` if it was
+/// already there.
+fn add_axis_point(axis: Axis, value: f64, spec: &mut GridSpec) -> Result<Option<f64>, StreamError> {
     let value = normalize_axis_value(value)?;
-    let points = match axis {
-        Axis::Bandwidth => &mut spec.bandwidth_deltas,
-        Axis::Latency => &mut spec.latency_steps_ns,
+    let points = axis.points(spec);
+    let Err(pos) = find(points, value) else {
+        return Ok(None);
     };
-    if points.iter().any(|p| p.to_bits() == value.to_bits()) {
-        return Ok(());
-    }
     if points.len() >= MAX_AXIS_POINTS {
         return Err(StreamError::invalid("axis is at its point cap"));
     }
-    let pos = points.partition_point(|p| p.total_cmp(&value).is_lt());
     points.insert(pos, value);
     // `GridSpec::validated` bounds the total cell count at open; deltas
     // must not be a back door past it. `spec` is a scratch copy, so an
     // error here rolls the whole batch back.
     check_cell_cap(spec)?;
-
-    for key in point_cells(axis, &value, spec) {
-        removed.remove(&key);
-        need_solve.insert(key);
-    }
-    Ok(())
+    Ok(Some(value))
 }
 
-fn remove_axis_point(
-    axis: Axis,
-    value: f64,
-    spec: &mut GridSpec,
-    need_solve: &mut BTreeSet<CellKey>,
-    revalued: &mut BTreeSet<CellKey>,
-    removed: &mut BTreeSet<CellKey>,
-) -> Result<(), StreamError> {
+fn remove_axis_point(axis: Axis, value: f64, spec: &mut GridSpec) -> Result<(), StreamError> {
     let value = normalize_axis_value(value)?;
-    let points = match axis {
-        Axis::Bandwidth => &mut spec.bandwidth_deltas,
-        Axis::Latency => &mut spec.latency_steps_ns,
-    };
-    let Some(pos) = points.iter().position(|p| p.to_bits() == value.to_bits()) else {
+    let points = axis.points(spec);
+    let Ok(pos) = find(points, value) else {
         return Err(StreamError::invalid("axis point not in the grid"));
     };
     if points.len() == 1 {
         return Err(StreamError::invalid("cannot remove the last axis point"));
     }
     points.remove(pos);
-
-    for key in point_cells(axis, &value, spec) {
-        need_solve.remove(&key);
-        revalued.remove(&key);
-        removed.insert(key);
-    }
     Ok(())
-}
-
-/// The cells on one axis point: every workload, the point itself, and every
-/// point of the other axis.
-fn point_cells<'a>(
-    axis: Axis,
-    value: &'a f64,
-    spec: &'a GridSpec,
-) -> impl Iterator<Item = CellKey> + 'a {
-    let point = std::slice::from_ref(value);
-    let workloads = 0..spec.workloads.len();
-    match axis {
-        Axis::Bandwidth => cross_keys(workloads, point, &spec.latency_steps_ns),
-        Axis::Latency => cross_keys(workloads, &spec.bandwidth_deltas, point),
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use memsense_experiments::json::Json;
     use memsense_model::workload::WorkloadParams;
 
     fn small_spec() -> GridSpec {
@@ -771,21 +785,11 @@ mod tests {
             SystemConfig::paper_baseline(),
         )
         .unwrap();
-        let mut need_solve = BTreeSet::new();
-        let mut removed = BTreeSet::new();
-        let err = add_axis_point(
-            Axis::Bandwidth,
-            -1.0,
-            &mut spec,
-            &mut need_solve,
-            &mut removed,
-        )
-        .unwrap_err();
+        let err = add_axis_point(Axis::Bandwidth, -1.0, &mut spec).unwrap_err();
         assert!(
             matches!(&err, StreamError::InvalidDelta(m) if m.contains("cap")),
             "{err:?}"
         );
-        assert!(need_solve.is_empty(), "no cells dirtied past the cap");
     }
 
     #[test]

@@ -6,8 +6,13 @@
 //! on the evolved spec (which solves every cell from scratch). These tests
 //! drive random delta sequences — generated against the session's *current*
 //! spec so removals always name live points — at random batch sizes and
-//! compare the canonical snapshots.
+//! compare the canonical snapshots. A third property checks the update
+//! stream itself: folding every emitted update from seq 0 rebuilds the
+//! snapshot's cells.
 
+use std::collections::{BTreeMap, BTreeSet};
+
+use memsense_experiments::json::Json;
 use memsense_model::system::SystemConfig;
 use memsense_model::units::Nanoseconds;
 use memsense_model::workload::WorkloadParams;
@@ -43,7 +48,8 @@ fn small_spec() -> GridSpec {
 struct Shadow {
     bandwidth: Vec<f64>,
     latency: Vec<f64>,
-    workloads: usize,
+    weights: Vec<f64>,
+    system: SystemConfig,
 }
 
 impl Shadow {
@@ -51,7 +57,8 @@ impl Shadow {
         Shadow {
             bandwidth: spec.bandwidth_deltas.clone(),
             latency: spec.latency_steps_ns.clone(),
-            workloads: spec.workloads.len(),
+            weights: spec.workloads.iter().map(|entry| entry.weight).collect(),
+            system: spec.system.clone(),
         }
     }
 
@@ -96,22 +103,90 @@ fn draw_delta(rng: &mut TestRng, shadow: &mut Shadow) -> Delta {
             Some(q) => Delta::RemoveLatency(q),
             None => Delta::Flush,
         },
-        8 | 9 => Delta::SetWeight {
-            workload: rng.below(shadow.workloads as u64) as usize,
-            weight: 0.25 * (1 + rng.below(16)) as f64,
-        },
+        8 | 9 => {
+            let workload = rng.below(shadow.weights.len() as u64) as usize;
+            let weight = 0.25 * (1 + rng.below(16)) as f64;
+            shadow.weights[workload] = weight;
+            Delta::SetWeight { workload, weight }
+        }
         10 => {
             let latency = [60.0, 75.0, 90.0][rng.below(3) as usize];
             let speed = [1333.0, 1866.7][rng.below(2) as usize];
-            Delta::SetSystem(
-                SystemConfig::paper_baseline()
-                    .with_unloaded_latency(Nanoseconds(latency))
-                    .and_then(|s| s.with_channel_speed(speed))
-                    .expect("paper-baseline variations are valid"),
-            )
+            shadow.system = SystemConfig::paper_baseline()
+                .with_unloaded_latency(Nanoseconds(latency))
+                .and_then(|s| s.with_channel_speed(speed))
+                .expect("paper-baseline variations are valid");
+            Delta::SetSystem(shadow.system.clone())
         }
         _ => Delta::Flush,
     }
+}
+
+/// Draws one submit call's ops, biased towards the pairs that cancel out
+/// within a batch, which per-parameter dirtiness must get right: a live
+/// point removed and re-added, a new point added and removed, a weight set
+/// and reset, the system changed and changed back. Otherwise one
+/// [`draw_delta`].
+fn draw_ops(rng: &mut TestRng, shadow: &mut Shadow) -> Vec<Delta> {
+    match rng.below(8) {
+        0 => match Shadow::remove(&mut shadow.bandwidth, rng) {
+            Some(p) => {
+                shadow.bandwidth.push(p);
+                vec![Delta::RemoveBandwidth(p), Delta::AddBandwidth(p)]
+            }
+            None => vec![Delta::Flush],
+        },
+        1 => match Shadow::remove(&mut shadow.latency, rng) {
+            Some(q) => {
+                shadow.latency.push(q);
+                vec![Delta::RemoveLatency(q), Delta::AddLatency(q)]
+            }
+            None => vec![Delta::Flush],
+        },
+        2 => {
+            // Off the 0.25-step lattice, so the point is always new.
+            let p = -2.875 + 0.25 * rng.below(20) as f64;
+            vec![Delta::AddBandwidth(p), Delta::RemoveBandwidth(p)]
+        }
+        3 => {
+            let workload = rng.below(shadow.weights.len() as u64) as usize;
+            let old = shadow.weights[workload];
+            vec![
+                Delta::SetWeight {
+                    workload,
+                    weight: old + 0.5,
+                },
+                Delta::SetWeight {
+                    workload,
+                    weight: old,
+                },
+            ]
+        }
+        4 => {
+            let other = shadow
+                .system
+                .clone()
+                .with_unloaded_latency(Nanoseconds(82.5))
+                .expect("82.5 ns is a valid latency");
+            vec![
+                Delta::SetSystem(other),
+                Delta::SetSystem(shadow.system.clone()),
+            ]
+        }
+        _ => vec![draw_delta(rng, shadow)],
+    }
+}
+
+/// A cell's identity as canonical JSON, from a changed cell or a removed
+/// key alike.
+fn identity(cell: &Json) -> String {
+    let field = |name: &str| cell.get(name).cloned().unwrap_or(Json::Null);
+    Json::obj(vec![
+        ("bandwidth_delta_gbps", field("bandwidth_delta_gbps")),
+        ("latency_step_ns", field("latency_step_ns")),
+        ("workload_index", field("workload_index")),
+    ])
+    .canonical()
 }
 
 proptest! {
@@ -174,5 +249,74 @@ proptest! {
         let (deltas_a, ..) = a.counters();
         let (deltas_b, ..) = b.counters();
         prop_assert_eq!(deltas_a, deltas_b);
+    }
+    /// The update stream is complete: folding every emitted update from
+    /// the seq-0 one (`changed` upserts, `removed` deletes) rebuilds the
+    /// snapshot's cells. A removal names only a cell the client holds, an
+    /// update never removes a cell it also lists as changed (a point removed
+    /// and re-added in one batch stays), and a changed cell's bytes really
+    /// moved.
+    #[test]
+    fn folded_updates_equal_the_snapshot(
+        seed in 0u64..u64::MAX,
+        n in 1usize..25,
+        batch in 1usize..9,
+    ) {
+        let mut rng = TestRng::new(seed);
+        let mut session = Session::open(small_spec(), batch).expect("open");
+        let mut shadow = Shadow::of(session.spec());
+        let mut updates = session.take_updates();
+        for _ in 0..n {
+            let ops = draw_ops(&mut rng, &mut shadow);
+            session.submit(&ops).expect("generated deltas are valid");
+            updates.extend(session.take_updates());
+        }
+        session.submit(&[Delta::Flush]).expect("flush");
+        updates.extend(session.take_updates());
+        prop_assert_eq!(updates[0].seq, 0);
+
+        let mut folded: BTreeMap<String, String> = BTreeMap::new();
+        for update in &updates {
+            let body = Json::parse(&update.body).expect("updates are JSON");
+            let list = |name: &str| body.get(name).and_then(Json::as_arr).unwrap_or(&[]).to_vec();
+            let mut removed = BTreeSet::new();
+            for key in list("removed") {
+                prop_assert!(
+                    folded.remove(&identity(&key)).is_some(),
+                    "seq {} removed a cell the client never held (seed {})",
+                    update.seq, seed
+                );
+                removed.insert(identity(&key));
+            }
+            for cell in list("changed") {
+                let render = cell.canonical();
+                prop_assert!(
+                    !removed.contains(&identity(&cell)),
+                    "seq {} removed and re-listed a cell whose points stayed (seed {})",
+                    update.seq, seed
+                );
+                let previous = folded.insert(identity(&cell), render.clone());
+                prop_assert!(
+                    previous.as_ref() != Some(&render),
+                    "seq {} reported an unchanged cell (seed {})",
+                    update.seq, seed
+                );
+            }
+        }
+
+        let snapshot = Json::parse(&session.snapshot()).expect("snapshot is JSON");
+        let cells: BTreeMap<String, String> = snapshot
+            .get("cells")
+            .and_then(Json::as_arr)
+            .unwrap_or(&[])
+            .iter()
+            .map(|cell| (identity(cell), cell.canonical()))
+            .collect();
+        prop_assert_eq!(
+            folded,
+            cells,
+            "folded updates diverged from the snapshot (seed {}, {} calls, batch {})",
+            seed, n, batch
+        );
     }
 }
