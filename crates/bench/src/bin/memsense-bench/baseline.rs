@@ -1,6 +1,6 @@
 //! The one baseline schema, its gate, and the gate's report.
 //!
-//! Every scenario (`sim`, `serve`, `stream`) records a [`Baseline`]: the
+//! Every scenario (`sim`, `serve`, `stream`, `model`) records a [`Baseline`]: the
 //! host it ran on, the load parameters it used, and a list of named
 //! [`Metric`]s, each with a direction and an optional absolute bound.
 //! [`compare`] gates a fresh measurement against a recorded one with the
@@ -27,16 +27,23 @@ pub enum Scenario {
     Sim,
     Serve,
     Stream,
+    Model,
 }
 
 impl Scenario {
-    pub const ALL: [Scenario; 3] = [Scenario::Sim, Scenario::Serve, Scenario::Stream];
+    pub const ALL: [Scenario; 4] = [
+        Scenario::Sim,
+        Scenario::Serve,
+        Scenario::Stream,
+        Scenario::Model,
+    ];
 
     pub fn name(self) -> &'static str {
         match self {
             Scenario::Sim => "sim",
             Scenario::Serve => "serve",
             Scenario::Stream => "stream",
+            Scenario::Model => "model",
         }
     }
 
@@ -46,12 +53,13 @@ impl Scenario {
 
     /// Gate tolerance: a lower-is-better metric may reach
     /// `baseline × (1 + tolerance)`, a higher-is-better one may drop to
-    /// `baseline / (1 + tolerance)`. Sim walls are CPU-bound and steady, so
-    /// 0.5; serve and stream mix in scheduler, TCP and allocator noise on
-    /// small shared runners, so 1.0 (down to half the recorded rate).
+    /// `baseline / (1 + tolerance)`. Sim walls and model solves are
+    /// CPU-bound and steady, so 0.5; serve and stream mix in scheduler, TCP
+    /// and allocator noise on small shared runners, so 1.0 (down to half the
+    /// recorded rate).
     pub fn tolerance(self) -> f64 {
         match self {
-            Scenario::Sim => 0.5,
+            Scenario::Sim | Scenario::Model => 0.5,
             Scenario::Serve | Scenario::Stream => 1.0,
         }
     }
@@ -530,6 +538,7 @@ mod tests {
                 ("path", Json::str("/v1/sweep/bandwidth")),
             ]),
             Scenario::Stream => Json::obj(vec![("deltas", Json::num(512.0))]),
+            Scenario::Model => Json::obj(vec![("rounds", Json::num(2000.0))]),
         };
         Baseline {
             scenario,

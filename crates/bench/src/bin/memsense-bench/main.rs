@@ -12,8 +12,8 @@
 //! so a bare run never overwrites a committed baseline. `--check` gates it
 //! against a recorded file instead (exit 1 on any regression; `--report`
 //! writes the gate as JSON). Check mode replays the load parameters the file
-//! records. `--repeats` (default 3) is the best-of-N count for sim and
-//! stream.
+//! records. `--repeats` (default 3) is the best-of-N count for sim,
+//! stream and model.
 //!
 //! * **sim** times the sim-heavy repro stages one at a time and prints each
 //!   stage's simulator work counters.
@@ -21,12 +21,15 @@
 //!   dedicated in-process server.
 //! * **stream** replays a fixed delta stream into incremental sweep
 //!   sessions at several batch sizes.
+//! * **model** times `solve_cpi` against the plain bisection it replays on
+//!   a fixed class × bandwidth × curve grid.
 //!
 //! `MEMSENSE_THREADS` is honored and defaults to 1 when unset; a check at a
 //! thread count other than the recorded one fails. Use a release build;
 //! debug timings are not comparable.
 
 mod baseline;
+mod model;
 mod serve;
 mod sim;
 mod stream;
@@ -36,9 +39,9 @@ use std::process::ExitCode;
 
 use baseline::{compare, Baseline, Scenario};
 
-const USAGE: &str = "usage: memsense-bench {sim,serve,stream}-baseline \
+const USAGE: &str = "usage: memsense-bench {sim,serve,stream,model}-baseline \
 [--out PATH] [--check PATH] [--report PATH] [--repeats N]
-  --repeats applies to sim and stream only";
+  --repeats applies to sim, stream and model only";
 
 struct Args {
     scenario: Scenario,
@@ -125,6 +128,11 @@ fn measure(args: &Args, recorded: Option<&Baseline>) -> Result<Baseline, String>
             let deltas = count("deltas", stream::DELTAS)?;
             eprintln!("replaying {deltas} deltas per batch size x {repeats} repeat(s)...");
             stream::measure(deltas, repeats)
+        }
+        Scenario::Model => {
+            let rounds = count("rounds", model::ROUNDS)?;
+            eprintln!("solving the model grid {rounds} times per solver x {repeats} repeat(s)...");
+            model::measure(rounds, repeats)
         }
     }
 }

@@ -4,8 +4,8 @@
 //! A fixed deterministic delta stream ([`delta_stream`]) is replayed into a
 //! fresh default-grid [`Session`] once per batch size. Larger batches
 //! amortize per-batch overhead (spec snapshot, the one pass that reads the
-//! dirty cells off the moved parameters, render diff, update emission,
-//! executor dispatch) across more deltas, the logical/physical batching
+//! dirty cells off the moved parameters, render diff, update emission)
+//! across more deltas, the logical/physical batching
 //! trade-off the tpchlike exemplar measures. The headline win is gated
 //! absolutely: a single-point delta on the default grid must re-solve at
 //! most [`MAX_SINGLE_POINT_FRACTION`] of the cells.

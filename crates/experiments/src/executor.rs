@@ -322,13 +322,15 @@ impl RunReport {
         let mut t = Table::new(
             format!(
                 "Run report: {} stages on {} thread{} in {:.1} ms \
-                 ({} solves, {} iterations; regimes: {} core / {} latency / {} bandwidth)",
+                 ({} solves, {} iterations, {} residual evals; \
+                 regimes: {} core / {} latency / {} bandwidth)",
                 self.stages.len(),
                 self.threads,
                 if self.threads == 1 { "" } else { "s" },
                 self.total_wall.as_secs_f64() * 1e3,
                 self.solver.solves,
                 self.solver.iterations,
+                self.solver.residual_evals,
                 self.solver.core_bound,
                 self.solver.latency_limited,
                 self.solver.bandwidth_bound,
@@ -392,6 +394,10 @@ impl RunReport {
                 Json::obj(vec![
                     ("solves", Json::num(self.solver.solves as f64)),
                     ("iterations", Json::num(self.solver.iterations as f64)),
+                    (
+                        "residual_evals",
+                        Json::num(self.solver.residual_evals as f64),
+                    ),
                     ("core_bound", Json::num(self.solver.core_bound as f64)),
                     (
                         "latency_limited",

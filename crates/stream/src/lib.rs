@@ -10,10 +10,10 @@
 //! **which parameters moved**: axis points added, workloads reweighted,
 //! the hardware config replaced. The grid is always a full cross product,
 //! so one pass over the final grid reads the dirty cells off those
-//! parameters. The batch re-solves only them through `executor::par_map`
-//! and emits a per-batch [`session::Update`] record — changed cells only,
-//! canonical JSON ([`grid::render_cell`] writes each cell's bytes
-//! directly), monotone sequence numbers.
+//! parameters. The batch re-solves only them and emits a per-batch
+//! [`session::Update`] record — changed cells only, canonical JSON
+//! ([`grid::render_cell`] writes each cell's bytes directly), monotone
+//! sequence numbers.
 //!
 //! The contract that makes incremental trustworthy: after any delta
 //! sequence, the session state is **byte-identical** to a from-scratch

@@ -11,11 +11,11 @@
 //! points they added, workloads whose weight they changed, and whether they
 //! replaced the system. A grid is always the full cross product of its mix
 //! and its two axes, so one pass over the final spec's cells in key order
-//! reads off the two dirty lists: a cell *re-solves* (through
-//! `executor::par_map`) if the system moved or its bandwidth or latency
-//! point was added, and otherwise *revalues* (re-renders from its stored
-//! state) if its workload's weight moved. Committed cells whose points left
-//! the axes are *removed*.
+//! reads off the two dirty lists: a cell *re-solves* (on the calling
+//! thread) if the system moved or its bandwidth or latency point was added,
+//! and otherwise *revalues* (re-renders from its stored state) if its
+//! workload's weight moved. Committed cells whose points left the axes are
+//! *removed*.
 //!
 //! Each cell is rendered straight to canonical bytes ([`render_cell`])
 //! once per change. The render is stored beside the state, compared with
@@ -30,7 +30,6 @@
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 
-use memsense_experiments::executor;
 use memsense_experiments::json::{escape_str, write_f64};
 use memsense_model::queueing::QueueingCurve;
 use memsense_model::system::SystemConfig;
@@ -171,7 +170,7 @@ impl Session {
             total_skipped: 0,
         };
         let keys = session.spec.cell_keys();
-        let solved = session.solve("stream.open", &session.spec, keys)?;
+        let solved = session.solve(&session.spec, keys)?;
         let changed = session.commit(solved, Vec::new());
         let resolved = session.cells.len() as u64;
         session.emit_update(&changed, &[], resolved, 0, 0);
@@ -278,7 +277,7 @@ impl Session {
             }
         }
         let resolved = resolve.len() as u64;
-        let solved = self.solve("stream.delta", &spec, resolve)?;
+        let solved = self.solve(&spec, resolve)?;
 
         // Committed cells whose point left an axis. A point added and
         // removed within this batch never reached the committed grid, so
@@ -308,17 +307,21 @@ impl Session {
         Ok(())
     }
 
-    /// Solves `keys` against `spec`, pairing each key with its state.
+    /// Solves `keys` against `spec` on the calling thread, pairing each key
+    /// with its state; returns the first error in key order. Sessions run in
+    /// parallel with each other on the server's worker pool, and a typical
+    /// dirty set (tens to hundreds of cells) solves in less time than an
+    /// executor dispatch would take to spread it.
     fn solve(
         &self,
-        label: &str,
         spec: &GridSpec,
         keys: Vec<CellKey>,
     ) -> Result<Vec<(CellKey, CellState)>, StreamError> {
         let curve = &self.curve;
-        Ok(executor::par_map(label, keys, |key| {
-            solve_cell(spec, key, curve).map(|state| (key, state))
-        })?)
+        Ok(keys
+            .into_iter()
+            .map(|key| solve_cell(spec, key, curve).map(|state| (key, state)))
+            .collect::<Result<_, _>>()?)
     }
 
     /// Stores the solved cells and re-renders them and the `revalue` cells
